@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -66,8 +67,26 @@ void send_response(int fd, const Response& response) {
   send_all(fd, serialise(response));
 }
 
+/// Strict Content-Length value: one or more ASCII digits, nothing else
+/// (no sign, no whitespace, no suffix), and no overflow.
+[[nodiscard]] bool parse_content_length(const std::string& value,
+                                        std::size_t& out) {
+  if (value.empty()) return false;
+  std::size_t n = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (n > (SIZE_MAX - digit) / 10) return false;
+    n = n * 10 + digit;
+  }
+  out = n;
+  return true;
+}
+
 /// Reads one request (head + Content-Length body) off `fd`. Returns
-/// false on transport error, oversize, or malformed head.
+/// false on transport error, oversize, or malformed head -- which
+/// includes a duplicate or non-digit Content-Length and any
+/// Transfer-Encoding (only Content-Length framing is spoken here).
 [[nodiscard]] bool read_request(int fd, std::size_t max_bytes,
                                 Request& request) {
   std::string buffer;
@@ -116,20 +135,24 @@ void send_response(int fd, const Response& response) {
     while (value_begin < header.size() && header[value_begin] == ' ') {
       ++value_begin;
     }
+    if (name == "transfer-encoding") return false;
+    if (name == "content-length" && request.headers.count(name) != 0) {
+      return false;
+    }
     request.headers[name] = header.substr(value_begin);
   }
 
   std::size_t content_length = 0;
   const auto it = request.headers.find("content-length");
-  if (it != request.headers.end()) {
-    try {
-      content_length = std::stoul(it->second);
-    } catch (...) {
-      return false;
-    }
+  if (it != request.headers.end() &&
+      !parse_content_length(it->second, content_length)) {
+    return false;
   }
   const std::size_t body_begin = head_end + 4;
-  if (body_begin + content_length > max_bytes) return false;
+  // Subtract rather than add: body_begin + content_length can wrap.
+  if (body_begin > max_bytes || content_length > max_bytes - body_begin) {
+    return false;
+  }
   while (buffer.size() < body_begin + content_length) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) {

@@ -1,14 +1,21 @@
 #include "nn/lstm.hpp"
 
-#include <cmath>
+#include <algorithm>
 
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace darnet::nn {
 
 namespace {
 
-float sigmoidf(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
+void require_input(const Tensor& input, int input_dim) {
+  if (input.rank() != 3 || input.dim(2) != input_dim) {
+    throw std::invalid_argument("BiLstm::forward: expected [N, T, " +
+                                std::to_string(input_dim) + "], got " +
+                                input.shape_string());
+  }
+}
 
 /// Extract timestep t of [N, T, D] into a [N, D] matrix.
 Tensor slice_step(const Tensor& input, int t) {
@@ -20,6 +27,15 @@ Tensor slice_step(const Tensor& input, int t) {
     float* dst = out.data() + static_cast<std::size_t>(i) * d;
     std::copy(src, src + d, dst);
   }
+  return out;
+}
+
+/// Copy rows [first, first + count) of a row-major [R, C] slab.
+Tensor slab_rows(const Tensor& slab, int first, int count) {
+  const int cols = slab.dim(1);
+  Tensor out({count, cols});
+  const float* src = slab.data() + static_cast<std::size_t>(first) * cols;
+  std::copy(src, src + static_cast<std::size_t>(count) * cols, out.data());
   return out;
 }
 
@@ -56,84 +72,52 @@ BiLstm::BiLstm(int input_dim, int hidden_dim, util::Rng& rng)
   }
 }
 
-void BiLstm::run_direction(const Tensor& input, const LstmDirection& dir,
-                           bool reversed, bool training,
-                           DirectionTrace& trace, Tensor& output,
-                           int out_offset) {
-  const int n = input.dim(0), steps = input.dim(1);
+void BiLstm::run_direction(const Tensor& x_tm, const LstmDirection& dir,
+                           bool reversed, DirectionTrace& trace,
+                           Tensor& output, int out_offset) const {
+  const int n = output.dim(0), steps = output.dim(1), out_f = output.dim(2);
   const int h = dir.hidden_dim;
+  const std::size_t z_step = static_cast<std::size_t>(n) * 4 * h;
+  const std::size_t h_step = static_cast<std::size_t>(n) * h;
 
-  trace = DirectionTrace{};
-  if (training) {
-    trace.i.reserve(steps);
-    trace.f.reserve(steps);
-    trace.g.reserve(steps);
-    trace.o.reserve(steps);
-    trace.c.reserve(steps);
-    trace.tanh_c.reserve(steps);
-    trace.h.reserve(steps);
-  }
+  // Gate pre-activations Z_t = X_t Wx + H_{t-1} Wh (+ b in the cell): the
+  // X_t Wx half of every step comes out of one GEMM.
+  trace.gates = Tensor({steps * n, 4 * h});
+  tensor::matmul_accumulate(x_tm, dir.wx.value, trace.gates);
+  trace.c = Tensor::uninit({steps * n, h});
+  trace.tanh_c = Tensor::uninit({steps * n, h});
+  trace.h = Tensor::uninit({steps * n, h});
+  const Tensor c_initial({n, h});
 
-  Tensor h_prev({n, h});
-  Tensor c_prev({n, h});
-
+  const tensor::kernels::Kernels* kv = tensor::kernels::active_kernels();
+  const auto gemm = kv != nullptr ? kv->gemm_rows : &tensor::gemm_rows_serial;
+  const auto cell =
+      kv != nullptr ? kv->lstm_cell : &tensor::lstm_cell_serial;
+  const float* h_prev = nullptr;  // h_{-1} = 0 adds nothing to Z_0
+  const float* c_prev = c_initial.data();
   for (int step = 0; step < steps; ++step) {
     const int t = reversed ? steps - 1 - step : step;
-    Tensor xt = slice_step(input, t);
-
-    // Fused gate pre-activations: Z = Xt Wx + Hprev Wh + b.
-    Tensor z = tensor::matmul(xt, dir.wx.value);
-    tensor::matmul_accumulate(h_prev, dir.wh.value, z);
-    for (int i = 0; i < n; ++i) {
-      float* row = z.data() + static_cast<std::size_t>(i) * 4 * h;
-      const float* bias = dir.b.value.data();
-      for (int j = 0; j < 4 * h; ++j) row[j] += bias[j];
+    const std::size_t zt = static_cast<std::size_t>(t) * z_step;
+    const std::size_t ht = static_cast<std::size_t>(t) * h_step;
+    float* z = trace.gates.data() + zt;
+    float* c = trace.c.data() + ht;
+    float* hh = trace.h.data() + ht;
+    if (h_prev != nullptr) {
+      gemm(h_prev, dir.wh.value.data(), z, 0, n, h, 4 * h);
     }
-
-    Tensor gi({n, h}), gf({n, h}), gg({n, h}), go({n, h}), c({n, h}),
-        tc({n, h}), hh({n, h});
-    for (int i = 0; i < n; ++i) {
-      const float* row = z.data() + static_cast<std::size_t>(i) * 4 * h;
-      const float* cp = c_prev.data() + static_cast<std::size_t>(i) * h;
-      float* pi = gi.data() + static_cast<std::size_t>(i) * h;
-      float* pf = gf.data() + static_cast<std::size_t>(i) * h;
-      float* pg = gg.data() + static_cast<std::size_t>(i) * h;
-      float* po = go.data() + static_cast<std::size_t>(i) * h;
-      float* pc = c.data() + static_cast<std::size_t>(i) * h;
-      float* ptc = tc.data() + static_cast<std::size_t>(i) * h;
-      float* ph = hh.data() + static_cast<std::size_t>(i) * h;
-      for (int j = 0; j < h; ++j) {
-        pi[j] = sigmoidf(row[j]);
-        pf[j] = sigmoidf(row[h + j]);
-        pg[j] = std::tanh(row[2 * h + j]);
-        po[j] = sigmoidf(row[3 * h + j]);
-        pc[j] = pf[j] * cp[j] + pi[j] * pg[j];
-        ptc[j] = std::tanh(pc[j]);
-        ph[j] = po[j] * ptc[j];
-      }
-    }
+    cell(z, dir.b.value.data(), c_prev, c, trace.tanh_c.data() + ht, hh, n,
+         h);
 
     // Write h into the output slab at [*, t, out_offset : out_offset+h].
-    const int out_f = output.dim(2);
     for (int i = 0; i < n; ++i) {
       float* dst = output.data() +
                    (static_cast<std::size_t>(i) * steps + t) * out_f +
                    out_offset;
-      const float* src = hh.data() + static_cast<std::size_t>(i) * h;
+      const float* src = hh + static_cast<std::size_t>(i) * h;
       std::copy(src, src + h, dst);
     }
-
     h_prev = hh;
     c_prev = c;
-    if (training) {
-      trace.i.push_back(std::move(gi));
-      trace.f.push_back(std::move(gf));
-      trace.g.push_back(std::move(gg));
-      trace.o.push_back(std::move(go));
-      trace.c.push_back(std::move(c));
-      trace.tanh_c.push_back(std::move(tc));
-      trace.h.push_back(std::move(hh));
-    }
   }
 }
 
@@ -146,38 +130,43 @@ ShapeContract BiLstm::shape_contract(
   return ShapeContract::ok({input_shape[0], input_shape[1], 2 * hidden_});
 }
 
-Tensor BiLstm::forward(const Tensor& input, bool training) {
-  if (input.rank() != 3 || input.dim(2) != input_dim_) {
-    throw std::invalid_argument("BiLstm::forward: expected [N, T, " +
-                                std::to_string(input_dim_) + "], got " +
-                                input.shape_string());
+Tensor BiLstm::run(const Tensor& input, bool training) {
+  const int n = input.dim(0), steps = input.dim(1), d = input.dim(2);
+  // Time-major copy: row t*N + i holds x[i][t], so the rows of one step
+  // are contiguous for the projection GEMM and the recurrence.
+  Tensor x_tm = Tensor::uninit({steps * n, d});
+  for (int t = 0; t < steps; ++t) {
+    for (int i = 0; i < n; ++i) {
+      const float* src =
+          input.data() + (static_cast<std::size_t>(i) * steps + t) * d;
+      std::copy(src, src + d,
+                x_tm.data() + (static_cast<std::size_t>(t) * n + i) * d);
+    }
   }
-  const int n = input.dim(0), steps = input.dim(1);
-  Tensor output({n, steps, 2 * hidden_});
-  if (training) cached_input_ = input;
-  run_direction(input, fwd_, /*reversed=*/false, training, fwd_trace_, output,
-                0);
-  run_direction(input, bwd_, /*reversed=*/true, training, bwd_trace_, output,
-                hidden_);
+  Tensor output = Tensor::uninit({n, steps, 2 * hidden_});
+  DirectionTrace fwd;
+  DirectionTrace bwd;
+  run_direction(x_tm, fwd_, /*reversed=*/false, fwd, output, 0);
+  run_direction(x_tm, bwd_, /*reversed=*/true, bwd, output, hidden_);
+  if (training) {
+    fwd_trace_ = std::move(fwd);
+    bwd_trace_ = std::move(bwd);
+  }
   return output;
+}
+
+Tensor BiLstm::forward(const Tensor& input, bool training) {
+  require_input(input, input_dim_);
+  if (training) cached_input_ = input;
+  return run(input, training);
 }
 
 Tensor BiLstm::forward_moved(Tensor&& input, bool training) {
   if (!training) return forward(input, false);
-  if (input.rank() != 3 || input.dim(2) != input_dim_) {
-    throw std::invalid_argument("BiLstm::forward: expected [N, T, " +
-                                std::to_string(input_dim_) + "], got " +
-                                input.shape_string());
-  }
+  require_input(input, input_dim_);
   // Steal the buffer for the BPTT cache instead of deep-copying it.
   cached_input_ = std::move(input);
-  const int n = cached_input_.dim(0), steps = cached_input_.dim(1);
-  Tensor output({n, steps, 2 * hidden_});
-  run_direction(cached_input_, fwd_, /*reversed=*/false, training, fwd_trace_,
-                output, 0);
-  run_direction(cached_input_, bwd_, /*reversed=*/true, training, bwd_trace_,
-                output, hidden_);
-  return output;
+  return run(cached_input_, true);
 }
 
 void BiLstm::backprop_direction(const Tensor& grad_output, int out_offset,
@@ -187,14 +176,18 @@ void BiLstm::backprop_direction(const Tensor& grad_output, int out_offset,
   const int n = cached_input_.dim(0), steps = cached_input_.dim(1);
   const int h = dir.hidden_dim;
   const int out_f = grad_output.dim(2);
+  const std::size_t z_step = static_cast<std::size_t>(n) * 4 * h;
+  const std::size_t h_step = static_cast<std::size_t>(n) * h;
 
   Tensor dh_next({n, h});
   Tensor dc_next({n, h});
 
-  // Walk timesteps in reverse of the forward iteration order. `step` indexes
-  // the trace; `t` is the actual time index in the input tensor.
+  // Walk timesteps in reverse of the forward iteration order. `t` is the
+  // time index of this step, `t_prev` that of the step before it in
+  // iteration order, whose c and h fed this one.
   for (int step = steps - 1; step >= 0; --step) {
     const int t = reversed ? steps - 1 - step : step;
+    const int t_prev = reversed ? t + 1 : t - 1;
 
     // dh for this step = slice of grad_output + carry from the next step.
     Tensor dh = dh_next;
@@ -206,24 +199,26 @@ void BiLstm::backprop_direction(const Tensor& grad_output, int out_offset,
       for (int j = 0; j < h; ++j) dst[j] += src[j];
     }
 
-    const Tensor& gi = trace.i[step];
-    const Tensor& gf = trace.f[step];
-    const Tensor& gg = trace.g[step];
-    const Tensor& go = trace.o[step];
-    const Tensor& tc = trace.tanh_c[step];
+    const float* gates =
+        trace.gates.data() + static_cast<std::size_t>(t) * z_step;
+    const float* tc =
+        trace.tanh_c.data() + static_cast<std::size_t>(t) * h_step;
     // c_{t-1} in iteration order (zeros at the first step).
-    const Tensor* c_prev = (step > 0) ? &trace.c[step - 1] : nullptr;
+    const float* c_prev =
+        (step > 0)
+            ? trace.c.data() + static_cast<std::size_t>(t_prev) * h_step
+            : nullptr;
 
     Tensor dz({n, 4 * h});
     Tensor dc({n, h});
     for (int i = 0; i < n; ++i) {
       const std::size_t off = static_cast<std::size_t>(i) * h;
       const float* pdh = dh.data() + off;
-      const float* pi = gi.data() + off;
-      const float* pf = gf.data() + off;
-      const float* pg = gg.data() + off;
-      const float* po = go.data() + off;
-      const float* ptc = tc.data() + off;
+      const float* pi = gates + static_cast<std::size_t>(i) * 4 * h;
+      const float* pf = pi + h;
+      const float* pg = pf + h;
+      const float* po = pg + h;
+      const float* ptc = tc + off;
       const float* pcn = dc_next.data() + off;
       float* pdc = dc.data() + off;
       float* pdz = dz.data() + static_cast<std::size_t>(i) * 4 * h;
@@ -231,9 +226,8 @@ void BiLstm::backprop_direction(const Tensor& grad_output, int out_offset,
         const float d_o = pdh[j] * ptc[j];
         const float dct = pcn[j] + pdh[j] * po[j] * (1.0f - ptc[j] * ptc[j]);
         const float d_i = dct * pg[j];
-        const float cprev = c_prev
-                                ? (*c_prev)[off + static_cast<std::size_t>(j)]
-                                : 0.0f;
+        const float cprev =
+            c_prev ? c_prev[off + static_cast<std::size_t>(j)] : 0.0f;
         const float d_f = dct * cprev;
         const float d_g = dct * pi[j];
         pdc[j] = dct * pf[j];  // carries to c_{t-1}
@@ -250,7 +244,8 @@ void BiLstm::backprop_direction(const Tensor& grad_output, int out_offset,
     Tensor dwx = tensor::matmul_at(xt, dz);
     tensor::add_inplace(dir.wx.grad, dwx);
 
-    const Tensor h_prev_mat = (step > 0) ? trace.h[step - 1] : Tensor({n, h});
+    const Tensor h_prev_mat =
+        (step > 0) ? slab_rows(trace.h, t_prev * n, n) : Tensor({n, h});
     Tensor dwh = tensor::matmul_at(h_prev_mat, dz);
     tensor::add_inplace(dir.wh.grad, dwh);
 

@@ -41,15 +41,25 @@ class BiLstm final : public Layer {
       const std::vector<int>& input_shape) const override;
 
  private:
+  /// One direction's activations, time-major: rows [t*N, (t+1)*N) of
+  /// each slab belong to time step t. Inference fills a local trace;
+  /// training keeps it for BPTT.
   struct DirectionTrace {
-    // Per-timestep activations cached for BPTT, each [N, H].
-    std::vector<Tensor> i, f, g, o, c, tanh_c, h;
+    Tensor gates;   // [T*N, 4H] activated [i | f | g | o]
+    Tensor c;       // [T*N, H]
+    Tensor tanh_c;  // [T*N, H]
+    Tensor h;       // [T*N, H]
   };
 
-  /// Run one direction. `reversed` walks t from T-1 down to 0.
-  void run_direction(const Tensor& input, const LstmDirection& dir,
-                     bool reversed, bool training, DirectionTrace& trace,
-                     Tensor& output, int out_offset);
+  /// Run one direction over the time-major input `x_tm` ([T*N, D]),
+  /// writing h into output[:, t, out_offset : out_offset + H].
+  /// `reversed` walks t from T-1 down to 0.
+  void run_direction(const Tensor& x_tm, const LstmDirection& dir,
+                     bool reversed, DirectionTrace& trace, Tensor& output,
+                     int out_offset) const;
+
+  /// Both directions; keeps the traces when `training`.
+  Tensor run(const Tensor& input, bool training);
 
   /// BPTT for one direction; accumulates parameter grads and input grads.
   void backprop_direction(const Tensor& grad_output, int out_offset,

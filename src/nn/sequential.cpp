@@ -24,6 +24,7 @@ namespace {
 
 Sequential& Sequential::add(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("Sequential::add: null layer");
+  layer_names_.push_back(layer->name());
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -81,7 +82,7 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
   // BiLstm) can steal the buffer instead of deep-copying it.
   Tensor x;
   {
-    DARNET_SPAN_DETAIL("nn/layer_forward", layers_.front()->name());
+    DARNET_SPAN_DETAIL("nn/layer_forward", layer_names_.front());
     x = layers_.front()->forward(input, training);
   }
 #ifdef DARNET_CHECKED
@@ -92,7 +93,7 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
     checked_in_shapes_[i] = x.shape();
 #endif
     {
-      DARNET_SPAN_DETAIL("nn/layer_forward", layers_[i]->name());
+      DARNET_SPAN_DETAIL("nn/layer_forward", layer_names_[i]);
       x = layers_[i]->forward_moved(std::move(x), training);
     }
 #ifdef DARNET_CHECKED
@@ -113,7 +114,7 @@ Tensor Sequential::forward_moved(Tensor&& input, bool training) {
     checked_in_shapes_[i] = x.shape();
 #endif
     {
-      DARNET_SPAN_DETAIL("nn/layer_forward", layers_[i]->name());
+      DARNET_SPAN_DETAIL("nn/layer_forward", layer_names_[i]);
       x = layers_[i]->forward_moved(std::move(x), training);
     }
 #ifdef DARNET_CHECKED

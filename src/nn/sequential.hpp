@@ -50,6 +50,10 @@ class Sequential final : public Layer {
 #endif
 
   std::vector<LayerPtr> layers_;
+  /// Each layer's name(), taken once in add(): the per-call span detail
+  /// reads it instead of building a std::string (which allocates past the
+  /// small-string buffer, e.g. "TemporalMeanPool") on every forward.
+  std::vector<std::string> layer_names_;
 #ifdef DARNET_CHECKED
   /// Input shape seen by each layer in the last forward pass; backward
   /// asserts each layer's input-gradient matches it.

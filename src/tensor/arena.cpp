@@ -38,29 +38,38 @@ Arena::Bucket& Arena::bucket_for(std::size_t bytes) {
       buckets_.begin(), buckets_.end(), bytes,
       [](const Bucket& b, std::size_t want) { return b.bytes < want; });
   if (it == buckets_.end() || it->bytes != bytes) {
-    it = buckets_.insert(it, Bucket{bytes, {}});
+    it = buckets_.insert(it, Bucket{bytes, {}, 0});
   }
   return *it;
 }
 
 void* Arena::take(std::size_t bytes) {
   const std::size_t rounded = round_bytes(bytes);
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), rounded,
-      [](const Bucket& b, std::size_t want) { return b.bytes < want; });
-  if (it != buckets_.end() && it->bytes == rounded && !it->blocks.empty()) {
-    void* p = it->blocks.back();
-    it->blocks.pop_back();
+  Bucket& bucket = bucket_for(rounded);
+  if (!bucket.blocks.empty()) {
+    void* p = bucket.blocks.back();
+    bucket.blocks.pop_back();
     bytes_cached_ -= rounded;
     return p;
   }
+  // A miss means every block this bucket has taken is live, so while its
+  // blocks come back here heap_blocks is the peak number of live blocks.
+  ++bucket.heap_blocks;
   ++heap_allocs_;
   return detail::heap_alloc(rounded);
 }
 
 void Arena::put(void* p, std::size_t bytes) {
   const std::size_t rounded = round_bytes(bytes);
-  bucket_for(rounded).blocks.push_back(p);
+  const auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), rounded,
+      [](const Bucket& b, std::size_t want) { return b.bytes < want; });
+  if (it == buckets_.end() || it->bytes != rounded ||
+      it->blocks.size() >= it->heap_blocks) {
+    detail::heap_free(p);  // surplus: the next take() would not need it
+    return;
+  }
+  it->blocks.push_back(p);
   bytes_cached_ += rounded;
 }
 

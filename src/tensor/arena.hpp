@@ -37,7 +37,12 @@ class Arena {
 
   /// Pop a cached block of (rounded) `bytes`, or fall back to the heap.
   [[nodiscard]] void* take(std::size_t bytes);
-  /// Cache a block for reuse. Never frees; see release().
+  /// Cache a block for reuse, or free it to the heap when its size's free
+  /// list already holds as many blocks as this arena has ever taken from
+  /// the heap at that size -- its own peak number of live blocks. Blocks
+  /// allocated elsewhere and freed under this arena's scope (a request
+  /// tensor built on another thread) therefore cannot grow the cache
+  /// without bound.
   void put(void* p, std::size_t bytes);
 
   /// Bytes currently held in the free lists (the arena's footprint).
@@ -56,6 +61,7 @@ class Arena {
   struct Bucket {
     std::size_t bytes = 0;           // rounded block size
     std::vector<void*> blocks;       // free blocks of exactly `bytes`
+    std::size_t heap_blocks = 0;     // take() misses at this size: the cap
   };
 
   Bucket& bucket_for(std::size_t bytes);

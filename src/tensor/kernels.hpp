@@ -57,6 +57,18 @@ struct Kernels {
   void (*conv2d_direct)(const float* xp, const float* wts, const float* bias,
                         float* y, int oc0, int oc1, int in_ch, int k,
                         int ph, int pw, int oh, int ow);
+  /// One LSTM cell step over `rows` rows -- same contract as
+  /// lstm_cell_serial (tensor/ops.hpp): adds `bias` to each row's
+  /// [i | f | g | o] pre-activations in `gates` (rows x 4*hidden),
+  /// overwrites them with the activated gates, and writes
+  /// c = f*c_prev + i*g, tanh_c = tanh(c) and h = o*tanh_c (rows x
+  /// hidden each). Sigmoid and tanh go through a vector expf (within
+  /// ~2 ulp of std::exp/std::tanh).
+  /// Each row is computed on its own, so a row's result never depends on
+  /// `rows` or on its position in the batch.
+  void (*lstm_cell)(float* gates, const float* bias, const float* c_prev,
+                    float* c, float* tanh_c, float* h, int rows,
+                    int hidden);
   /// Minimum output width at which conv2d_direct beats the im2col GEMM
   /// for this ISA (one half-width vector per row). Callers fall back to
   /// the GEMM path below it; the kernel itself stays correct for any

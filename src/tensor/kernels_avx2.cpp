@@ -21,7 +21,8 @@ const Kernels* avx2_kernels() {
   static constexpr Kernels k{&impl_avx2::gemm_rows,
                              &impl_avx2::gemm_bias_packed,
                              &impl_avx2::gemv_bias_wt,
-                             &impl_avx2::conv2d_direct, 4};
+                             &impl_avx2::conv2d_direct,
+                             &impl_avx2::lstm_cell, 4};
   return &k;
 }
 

@@ -20,7 +20,8 @@ const Kernels* avx512_kernels() {
   static constexpr Kernels k{&impl_avx512::gemm_rows,
                              &impl_avx512::gemm_bias_packed,
                              &impl_avx512::gemv_bias_wt,
-                             &impl_avx512::conv2d_direct, 8};
+                             &impl_avx512::conv2d_direct,
+                             &impl_avx512::lstm_cell, 8};
   return &k;
 }
 

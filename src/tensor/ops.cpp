@@ -126,6 +126,32 @@ void gemm_rows_serial(const float* a, const float* b, float* c,
   }
 }
 
+void lstm_cell_serial(float* gates, const float* bias, const float* c_prev,
+                      float* c, float* tanh_c, float* h, int rows,
+                      int hidden) {
+  const auto sigmoid = [](float x) { return 1.0f / (1.0f + std::exp(-x)); };
+  for (int r = 0; r < rows; ++r) {
+    float* zi = gates + static_cast<std::size_t>(r) * 4 * hidden;
+    float* zf = zi + hidden;
+    float* zg = zf + hidden;
+    float* zo = zg + hidden;
+    const std::size_t off = static_cast<std::size_t>(r) * hidden;
+    const float* cp = c_prev + off;
+    float* pc = c + off;
+    float* ptc = tanh_c + off;
+    float* ph = h + off;
+    for (int j = 0; j < hidden; ++j) {
+      zi[j] = sigmoid(zi[j] + bias[j]);
+      zf[j] = sigmoid(zf[j] + bias[hidden + j]);
+      zg[j] = std::tanh(zg[j] + bias[2 * hidden + j]);
+      zo[j] = sigmoid(zo[j] + bias[3 * hidden + j]);
+      pc[j] = zf[j] * cp[j] + zi[j] * zg[j];
+      ptc[j] = std::tanh(pc[j]);
+      ph[j] = zo[j] * ptc[j];
+    }
+  }
+}
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   require(a.rank() == 2 && b.rank() == 2, "matmul: rank-2 tensors required");
   require(a.dim(1) == b.dim(0), "matmul: inner dims mismatch");

@@ -36,6 +36,16 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_rows_serial(const float* a, const float* b, float* c,
                       std::int64_t i0, std::int64_t i1, int k, int n);
 
+/// Scalar reference LSTM cell over `rows` rows (gate order [i, f, g, o]):
+/// adds `bias` to each row's pre-activations in `gates` (rows x 4*hidden)
+/// and overwrites them with sigmoid(i), sigmoid(f), tanh(g), sigmoid(o),
+/// then writes c = f*c_prev + i*g, tanh_c = tanh(c) and h = o*tanh_c
+/// (rows x hidden each). std::exp/std::tanh; the vector lstm_cell
+/// kernels match it to tolerance.
+void lstm_cell_serial(float* gates, const float* bias, const float* c_prev,
+                      float* c, float* tanh_c, float* h, int rows,
+                      int hidden);
+
 /// C = A(MxK) * B(NxK)^T -- the backward-friendly layout.
 Tensor matmul_bt(const Tensor& a, const Tensor& b_transposed);
 

@@ -19,9 +19,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "engine/architectures.hpp"
 #include "engine/engine.hpp"
+#include "imu/imu.hpp"
 #include "parallel/pool.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
@@ -61,41 +63,61 @@ namespace kernels = darnet::tensor::kernels;
 namespace nn = darnet::nn;
 using darnet::util::Rng;
 
-/// Steady-state allocation count for `iters` classify_batch calls on the
-/// real FrameCnn ensemble under the given kernel ISA.
-std::size_t steady_state_news(kernels::Isa isa, int iters) {
+/// `new` counts of three warm-up classify_batch calls and of `iters`
+/// steady-state calls after them.
+struct News {
+  std::size_t warm_up = 0;
+  std::size_t steady = 0;
+};
+
+/// Counts `new`s of classify_batch on the paper's ensemble (FrameCnn +
+/// BiLSTM + fitted Bayesian combiner) under the given kernel ISA.
+News classify_batch_news(kernels::Isa isa, int iters) {
   kernels::set_isa(isa);
-  engine::FrameCnnConfig cfg;
-  auto cnn = std::make_shared<nn::Sequential>(engine::build_frame_cnn(cfg));
+  engine::FrameCnnConfig cnn_cfg;
+  engine::ImuRnnConfig rnn_cfg;
+  auto cnn =
+      std::make_shared<nn::Sequential>(engine::build_frame_cnn(cnn_cfg));
+  auto rnn = std::make_shared<nn::Sequential>(engine::build_imu_rnn(rnn_cfg));
   engine::EnsembleClassifier ensemble(
-      std::make_shared<engine::NeuralClassifier>(cnn, cfg.num_classes, "cnn"),
-      nullptr, darnet::bayes::ClassMap::darnet_default());
+      std::make_shared<engine::NeuralClassifier>(cnn, cnn_cfg.num_classes,
+                                                 "cnn"),
+      std::make_shared<engine::NeuralClassifier>(rnn, rnn_cfg.num_classes,
+                                                 "rnn"),
+      darnet::bayes::ClassMap::darnet_default());
   Rng rng(21);
+  const int steps = darnet::imu::kWindowSteps;
+  {
+    // The combiner refuses to combine before it is fitted.
+    const int n = cnn_cfg.num_classes;
+    std::vector<int> labels(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) labels[static_cast<std::size_t>(i)] = i;
+    ensemble.fit(Tensor::uniform({n, 1, 48, 48}, 0.5F, rng),
+                 Tensor::uniform({n, steps, rnn_cfg.channels}, 1.0F, rng),
+                 labels);
+  }
   const Tensor frame = Tensor::uniform({1, 1, 48, 48}, 0.5F, rng);
-  const Tensor imu = Tensor({1, 1, 1});
+  const Tensor imu = Tensor::uniform({1, steps, rnn_cfg.channels}, 1.0F, rng);
   // Warm-up: populate the engine's fallback arena buckets and the
   // packed-weight caches (both allocate, by design, exactly once).
-  // Counting through it also proves the counter sees the engine's
-  // allocations at all -- a zero that came from a broken hook would make
-  // the steady-state assertion vacuous.
+  News news;
   g_news.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (int i = 0; i < 3; ++i) {
     Tensor p = ensemble.classify_batch(frame, imu);
-    EXPECT_EQ(p.numel(), static_cast<std::size_t>(cfg.num_classes));
+    EXPECT_EQ(p.numel(), static_cast<std::size_t>(cnn_cfg.num_classes));
   }
   g_counting.store(false, std::memory_order_relaxed);
-  EXPECT_GT(g_news.load(std::memory_order_relaxed), 0u)
-      << "counting hook saw no warm-up allocations; the measurement "
-         "cannot be trusted";
+  news.warm_up = g_news.load(std::memory_order_relaxed);
   g_news.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (int i = 0; i < iters; ++i) {
     Tensor p = ensemble.classify_batch(frame, imu);
   }
   g_counting.store(false, std::memory_order_relaxed);
+  news.steady = g_news.load(std::memory_order_relaxed);
   kernels::set_isa(kernels::Isa::kScalar);
-  return g_news.load(std::memory_order_relaxed);
+  return news;
 }
 
 TEST(HotPathAlloc, ClassifyBatchIsZeroAllocAfterWarmup) {
@@ -104,7 +126,7 @@ TEST(HotPathAlloc, ClassifyBatchIsZeroAllocAfterWarmup) {
   // per-call ShardWriteTracker (shard-overlap detection in Conv2D and
   // matmul) grows a heap-backed range list on every forward pass. The
   // zero-alloc contract is a property of release builds only; the
-  // default, obs, and obs-off CI legs pin it.
+  // default and obs-off CI legs pin it.
   GTEST_SKIP() << "checked builds allocate in diagnostics by design";
 #endif
   // Single-thread execution keeps the measurement exact (the pool's
@@ -112,11 +134,21 @@ TEST(HotPathAlloc, ClassifyBatchIsZeroAllocAfterWarmup) {
   // thread's steady state is every thread's steady state.
   const int entry_threads = darnet::parallel::thread_count();
   darnet::parallel::set_thread_count(1);
-  EXPECT_EQ(steady_state_news(kernels::Isa::kScalar, 16), 0u)
+  const News scalar = classify_batch_news(kernels::Isa::kScalar, 16);
+  // This thread's first classify_batch creates the engine's fallback
+  // arena buckets, so its warm-up must count allocations: proof that the
+  // counter sees the engine's allocations at all -- a zero that came from
+  // a broken hook would make the steady-state assertions vacuous. (Later
+  // passes reuse the warm thread-local arena and may legitimately count
+  // none.)
+  EXPECT_GT(scalar.warm_up, 0u)
+      << "counting hook saw no warm-up allocations; the measurement "
+         "cannot be trusted";
+  EXPECT_EQ(scalar.steady, 0u)
       << "scalar classify_batch allocated after warm-up";
   for (kernels::Isa isa : {kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
     if (!kernels::isa_supported(isa)) continue;
-    EXPECT_EQ(steady_state_news(isa, 16), 0u)
+    EXPECT_EQ(classify_batch_news(isa, 16).steady, 0u)
         << "vector classify_batch allocated after warm-up";
   }
   darnet::parallel::set_thread_count(entry_threads);

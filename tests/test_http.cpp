@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,8 +161,31 @@ TEST(HttpServer, MalformedBytesEarnA400) {
   EXPECT_NE(eof.read_all().find("400"), std::string::npos);
   eof.close();
 
+  // Framing: Content-Length is one run of ASCII digits, given once, and
+  // chunked framing is not spoken. Each request carries a complete body,
+  // so a lenient parser would answer 200.
+  const std::string head = "POST /x HTTP/1.1\r\n";
+  const std::string framing[] = {
+      head + "Content-Length: +5\r\n\r\nhello",
+      head + "Content-Length: \t5\r\n\r\nhello",
+      head + "Content-Length: 5 \r\n\r\nhello",
+      head + "Content-Length: 5abc\r\n\r\nhello",
+      head + "Content-Length: -1\r\n\r\nhello",
+      head + "Content-Length: 0x5\r\n\r\nhello",
+      head + "Content-Length: 99999999999999999999999\r\n\r\nhello",
+      head + "Content-Length: \r\n\r\nhello",
+      head + "Content-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+      head + "Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+  };
+  for (const std::string& bytes : framing) {
+    RawConn conn(server.port());
+    conn.send(bytes);
+    ASSERT_EQ(::shutdown(conn.fd, SHUT_WR), 0);
+    EXPECT_EQ(conn.read_all().rfind("HTTP/1.1 400 ", 0), 0u) << bytes;
+  }
+
   server.stop();
-  EXPECT_GE(server.stats().bad_requests, 2u);
+  EXPECT_GE(server.stats().bad_requests, 2u + std::size(framing));
 }
 
 TEST(HttpServer, BoundedBacklogAnswers503Inline) {

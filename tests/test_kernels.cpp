@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "engine/architectures.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "parallel/pool.hpp"
@@ -153,6 +154,73 @@ TEST(Kernels, Conv2DForwardParityOnAwkwardShapes) {
     for (kernels::Isa isa : supported_vector_isas()) {
       kernels::set_isa(isa);
       expect_close(conv.forward(x, false), want, "conv2d forward");
+    }
+  }
+}
+
+TEST(Kernels, LstmCellParityIncludingSaturationAndTails) {
+  IsaGuard guard;
+  // The vector cell evaluates sigmoid/tanh through its own expf; hold it
+  // to the std::exp/std::tanh reference on random rows, on saturating
+  // pre-activations (+-100, where a naive exp overflows), and at hidden
+  // sizes that leave a ragged tail after the last full vector.
+  if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
+  Rng rng(16);
+  for (int hidden : {5, 20, 32}) {
+    constexpr int kRows = 3;
+    Tensor gates = Tensor::uniform({kRows, 4 * hidden}, 4.0F, rng);
+    for (std::size_t i = 0; i < gates.numel(); i += 3) {
+      gates[i] = (i % 2 == 0) ? 100.0F : -100.0F;
+    }
+    const Tensor bias = Tensor::uniform({4 * hidden}, 1.0F, rng);
+    Tensor c_prev = Tensor::uniform({kRows, hidden}, 3.0F, rng);
+    c_prev[0] = 100.0F;
+    c_prev[1] = -100.0F;
+    Tensor want_gates = gates;
+    Tensor want_c({kRows, hidden});
+    Tensor want_tc({kRows, hidden});
+    Tensor want_h({kRows, hidden});
+    ops::lstm_cell_serial(want_gates.data(), bias.data(), c_prev.data(),
+                          want_c.data(), want_tc.data(), want_h.data(),
+                          kRows, hidden);
+    for (kernels::Isa isa : supported_vector_isas()) {
+      kernels::set_isa(isa);
+      Tensor got_gates = gates;
+      Tensor got_c({kRows, hidden});
+      Tensor got_tc({kRows, hidden});
+      Tensor got_h({kRows, hidden});
+      kernels::active_kernels()->lstm_cell(
+          got_gates.data(), bias.data(), c_prev.data(), got_c.data(),
+          got_tc.data(), got_h.data(), kRows, hidden);
+      expect_close(got_gates, want_gates, "lstm_cell gates");
+      expect_close(got_c, want_c, "lstm_cell c");
+      expect_close(got_tc, want_tc, "lstm_cell tanh_c");
+      expect_close(got_h, want_h, "lstm_cell h");
+    }
+  }
+}
+
+TEST(Kernels, ImuRnnRowsDoNotDependOnTheBatch) {
+  IsaGuard guard;
+  // A served verdict must equal the offline one whatever batch the
+  // request lands in: at every ISA, each row of a batch-8 pass through
+  // the paper's BiLSTM model equals that row's batch-1 pass bit for bit.
+  nn::Sequential rnn = darnet::engine::build_imu_rnn({});
+  Rng rng(17);
+  const Tensor batch = Tensor::uniform({8, 20, 13}, 2.0F, rng);
+  std::vector<kernels::Isa> isas = {kernels::Isa::kScalar};
+  for (kernels::Isa isa : supported_vector_isas()) isas.push_back(isa);
+  for (kernels::Isa isa : isas) {
+    kernels::set_isa(isa);
+    const Tensor all = rnn.forward(batch, false);
+    const std::size_t width = all.numel() / 8;
+    for (int row = 0; row < 8; ++row) {
+      const Tensor one = rnn.forward(ops::take_row(batch, row), false);
+      ASSERT_EQ(one.numel(), width);
+      for (std::size_t j = 0; j < width; ++j) {
+        ASSERT_EQ(one[j], all[static_cast<std::size_t>(row) * width + j])
+            << kernels::isa_name(isa) << " row " << row << " col " << j;
+      }
     }
   }
 }

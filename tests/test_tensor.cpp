@@ -1,6 +1,9 @@
 // Unit tests for the tensor substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -146,6 +149,34 @@ TEST(Ops, ArgmaxPicksFirstMaximum) {
   std::vector<float> v{1.0f, 5.0f, 5.0f, 2.0f};
   EXPECT_EQ(ops::argmax(v), 1);
   EXPECT_THROW((void)ops::argmax(std::span<const float>{}), std::invalid_argument);
+}
+
+TEST(Arena, ForeignBlocksFreedInScopeDoNotGrowTheCache) {
+  // A server frees request tensors built on another thread inside a shard
+  // worker's scope. The arena may keep what its own peak demand needs,
+  // and must hand the rest back to the heap rather than grow forever.
+  constexpr std::size_t kFloats = 256;
+  constexpr std::size_t kBlockBytes = kFloats * sizeof(float);
+  std::vector<darnet::tensor::Storage> foreign;
+  foreign.reserve(10000);
+  for (int i = 0; i < 10000; ++i) foreign.emplace_back(kFloats);
+
+  darnet::tensor::Arena arena;
+  {
+    darnet::tensor::ArenaScope scope(arena);
+    {
+      // The arena's own working set: two blocks live at once.
+      darnet::tensor::Storage a(kFloats);
+      darnet::tensor::Storage b(kFloats);
+    }
+    foreign.clear();
+    EXPECT_LE(arena.bytes_cached(), 2 * kBlockBytes);
+    // The working set is still served from the cache.
+    darnet::tensor::Storage a(kFloats);
+    darnet::tensor::Storage b(kFloats);
+    EXPECT_EQ(arena.heap_allocs(), 2u);
+  }
+  EXPECT_LE(arena.bytes_cached(), 2 * kBlockBytes);
 }
 
 }  // namespace

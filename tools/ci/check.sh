@@ -2,15 +2,14 @@
 # tools/ci/check.sh -- build and test the full correctness matrix.
 #
 # Legs (each: configure + build + ctest, warnings-as-errors everywhere):
-#   default  Release, invariants compiled out (the shipping configuration)
+#   default  Release, invariants compiled out (the shipping configuration);
+#            observability is ON by default, so this leg also runs test_obs
+#            and the darnet_lint docs-drift check that every registered
+#            metric/span name matches docs/OBSERVABILITY.md
 #   checked  Release + DARNET_CHECKED=ON (invariants active at full speed)
 #   asan     Debug + AddressSanitizer  (checked: Debug defaults CHECKED=ON)
 #   ubsan    Debug + UndefinedBehaviorSanitizer, -fno-sanitize-recover
 #   tsan     Debug + ThreadSanitizer (the parallel:: subsystem gate)
-#   obs      Release + DARNET_OBS=ON explicit (metrics/trace instrumentation
-#            active; includes test_obs and the darnet_lint docs-drift check
-#            that every registered metric/span name matches
-#            docs/OBSERVABILITY.md)
 #   obs-off  Release + DARNET_OBS=OFF (macros compile to unevaluated no-ops;
 #            proves the tree builds and all tests -- including the bit-parity
 #            goldens -- pass without the instrumentation)
@@ -73,7 +72,7 @@ ROOT="$(cd "$(dirname "$0")/../.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 BUILD_ROOT="${BUILD_ROOT:-${ROOT}/build-matrix}"
 
-ALL_LEGS=(default checked asan ubsan tsan obs obs-off serve sim-smoke
+ALL_LEGS=(default checked asan ubsan tsan obs-off serve sim-smoke
           http-smoke sync-stress analyze bench-smoke)
 LEGS=("$@")
 if [ "${#LEGS[@]}" -eq 0 ]; then
@@ -423,9 +422,6 @@ for leg in "${LEGS[@]}"; do
       ;;
     tsan)
       run_leg tsan -DCMAKE_BUILD_TYPE=Debug -DDARNET_SANITIZE=thread
-      ;;
-    obs)
-      run_leg obs -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=ON
       ;;
     obs-off)
       run_leg obs-off -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=OFF
