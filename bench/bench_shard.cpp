@@ -79,7 +79,6 @@ serve::RouterConfig make_config(int shards) {
   serve::RouterConfig config;
   config.shards = shards;
   config.shard.max_batch = 8;
-  config.shard.max_delay_us = 0;  // saturation: flush as fast as possible
   config.shard.queue_capacity = kRequests;
   config.shard.shed_oldest = false;  // any overflow would be a bench bug
   return config;

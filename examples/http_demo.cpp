@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
 
   serve::RouterConfig router_config;
   router_config.shards = 2;
-  router_config.shard.max_delay_us = 500;
   // Tenant 1 gets a deliberately tight quota so the demo can show a 429.
   router_config.quotas[1] = serve::TenantQuota{
       static_cast<double>(sessions * steps), 0.0};

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
 
   serve::ShardConfig config;
   config.max_batch = 8;
-  config.max_delay_us = 1000;
   config.queue_capacity = 128;
   config.workers = 2;
   config.streaming.smoothing_alpha = 0.5;
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
 
   std::cout << "Serving " << sessions << " concurrent driver sessions, "
             << steps << " frames each (max_batch " << config.max_batch
-            << ", max_delay " << config.max_delay_us << "us)...\n";
+            << ")...\n";
 
   // Riffle the sessions' frames into one submission stream, as if the
   // vehicles were uploading concurrently.

@@ -1,6 +1,8 @@
 #include "http/edge.hpp"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -39,33 +41,45 @@ using tensor::Tensor;
   return true;
 }
 
-/// Parses the flat float array after `key` into a tensor of `shape`.
-/// Returns false on absent key, malformed array or length mismatch.
+/// Parses the flat float array after `key` into a tensor of `shape`:
+/// numbers separated by exactly one comma, JSON whitespace allowed around
+/// each. std::from_chars reads each element as a float directly, with no
+/// locale and no detour through double. Returns false on absent key,
+/// malformed array, length mismatch, or an element that is not a finite
+/// float (nan, inf, or out of float range).
 [[nodiscard]] bool parse_tensor(const std::string& body,
                                 const std::string& key,
                                 const std::vector<int>& shape, Tensor& out) {
-  std::size_t pos = value_offset(body, key);
+  const std::size_t pos = value_offset(body, key);
   if (pos == std::string::npos) return false;
-  pos = body.find('[', pos);
-  const std::size_t close = body.find(']', pos);
-  if (pos == std::string::npos || close == std::string::npos) return false;
-
-  Tensor parsed(shape);
-  const char* cursor = body.c_str() + pos + 1;
-  const char* limit = body.c_str() + close;
-  for (std::size_t i = 0; i < parsed.numel(); ++i) {
-    char* end = nullptr;
-    const double value = std::strtod(cursor, &end);
-    if (end == cursor || end > limit) return false;
-    parsed[i] = static_cast<float>(value);
-    cursor = end;
-    while (cursor < limit && (*cursor == ',' || *cursor == ' ' ||
-                              *cursor == '\n' || *cursor == '\t')) {
+  const char* cursor = body.data() + pos;
+  const char* const end = body.data() + body.size();
+  const auto skip_space = [&] {
+    while (cursor < end && (*cursor == ' ' || *cursor == '\t' ||
+                            *cursor == '\n' || *cursor == '\r')) {
       ++cursor;
     }
+  };
+  const auto expect = [&](char c) {
+    skip_space();
+    if (cursor == end || *cursor != c) return false;
+    ++cursor;
+    return true;
+  };
+
+  if (!expect('[')) return false;
+  Tensor parsed(shape);
+  for (std::size_t i = 0; i < parsed.numel(); ++i) {
+    if (i > 0 && !expect(',')) return false;
+    skip_space();
+    float value = 0.0f;
+    const auto [next, ec] = std::from_chars(cursor, end, value);
+    if (ec != std::errc{} || !std::isfinite(value)) return false;
+    parsed[i] = value;
+    cursor = next;
   }
-  // Trailing elements mean the array is longer than the shape.
-  if (cursor < limit && *cursor != ']') return false;
+  // A further element means the array is longer than the shape.
+  if (!expect(']')) return false;
   out = std::move(parsed);
   return true;
 }

@@ -63,9 +63,6 @@ Server::Server(std::shared_ptr<engine::EnsembleClassifier> ensemble,
   if (config_.max_batch < 1) {
     throw std::invalid_argument("serve::Server: max_batch must be >= 1");
   }
-  if (config_.max_delay_us < 0) {
-    throw std::invalid_argument("serve::Server: max_delay_us must be >= 0");
-  }
   if (config_.queue_capacity < 1) {
     throw std::invalid_argument("serve::Server: queue_capacity must be >= 1");
   }
@@ -167,38 +164,11 @@ void Server::worker_loop() {
     std::shared_ptr<engine::EnsembleClassifier> ensemble;
     {
       sync::UniqueLock lock(mu_);
-      // Batch-formation policy: flush once `max_batch` requests are queued
-      // or the oldest has waited `max_delay_us`, whichever comes first;
-      // drain flushes immediately.
-      for (;;) {
-        if (queue_.empty()) {
-          if (draining_) return;
-          work_cv_.wait(lock,
-                        [&] { return draining_ || !queue_.empty(); });
-          continue;
-        }
-        if (draining_ ||
-            queue_.size() >= static_cast<std::size_t>(config_.max_batch)) {
-          break;
-        }
-        if (config_.time_source) {
-          // A custom (virtual) clock cannot arm a real CV timeout -- it
-          // only advances between events -- so the delay flush degenerates
-          // to flush-on-arrival: take whatever is queued now.
-          break;
-        }
-        const auto flush_at =
-            queue_.front().enqueued +
-            std::chrono::microseconds(config_.max_delay_us);
-        if (work_cv_.wait_until(lock, flush_at, [&] {
-              return draining_ || queue_.empty() ||
-                     queue_.size() >=
-                         static_cast<std::size_t>(config_.max_batch);
-            })) {
-          continue;  // state changed (drain / batch full / queue stolen)
-        }
-        break;  // the oldest request has now waited max_delay_us
-      }
+      // Batch-formation policy: take up to `max_batch` of whatever is
+      // queued the moment this worker is free. Rows gather only while a
+      // pass runs; a lone request is never held back to wait for others.
+      work_cv_.wait(lock, [&] { return draining_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // draining, and everything is flushed
 
       // Degraded-mode hysteresis on the pre-pop depth: engage at the high
       // watermark, disengage only once depth falls to the low watermark.

@@ -17,11 +17,11 @@
 //     Status::kShed) or Admit::kRejected (queue full with shedding
 //     disabled, or server draining). Every future is always completed --
 //     admission verdicts, timeouts, shed and drain all resolve it.
-//   * Micro-batching: worker ServiceThreads (src/parallel) pop up to
-//     `max_batch` requests, flushing early once the oldest has waited
-//     `max_delay_us` -- whichever comes first. The fused pass itself runs
-//     on the process-wide parallel::ThreadPool via the engine's batched
-//     entry points.
+//   * Micro-batching: a worker ServiceThread (src/parallel) that is free
+//     takes up to `max_batch` queued requests at once, so rows gather only
+//     while a pass runs and a lone request never waits for company. The
+//     fused pass itself runs on the process-wide parallel::ThreadPool via
+//     the engine's batched entry points.
 //   * Robustness: per-request absolute deadlines (expired requests get
 //     Status::kTimeout without inference), graceful drain() on shutdown
 //     (stops admission, flushes the queue, joins workers, leaves no
@@ -101,10 +101,8 @@ struct Response {
 /// snapshot versioning) lives in serve::RouterConfig (router.hpp) -- the
 /// PR-9 redesign split the old monolithic ServerConfig along that seam.
 struct ShardConfig {
-  /// Flush a batch once this many requests are queued.
+  /// Most requests one fused pass takes from the queue.
   int max_batch = 8;
-  /// ... or once the oldest queued request has waited this long.
-  std::int64_t max_delay_us = 2000;
   /// Admission queue bound (requests). Beyond it, shed or reject.
   std::size_t queue_capacity = 64;
   /// Overflow policy: true sheds the oldest queued request (freshest data
@@ -123,10 +121,8 @@ struct ShardConfig {
   /// Per-session smoothing + debounce parameters.
   engine::StreamingConfig streaming;
   /// Clock for deadline triage and latency accounting. Null (the default)
-  /// reads std::chrono::steady_clock. With a custom source installed the
-  /// max_delay_us flush timer degenerates to flush-on-arrival: a virtual
-  /// clock only advances between events, so a real condition-variable
-  /// timeout against it is meaningless (and could sleep arbitrarily long).
+  /// reads std::chrono::steady_clock. Batch formation never reads it, so a
+  /// virtual clock batches exactly like the wall clock.
   std::shared_ptr<const TimeSource> time_source;
 };
 

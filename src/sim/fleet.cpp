@@ -144,7 +144,6 @@ FleetSimulator::FleetSimulator(ScenarioConfig config)
   serve::RouterConfig router_config;
   router_config.shards = config_.shards;
   router_config.shard.max_batch = 8;
-  router_config.shard.max_delay_us = 0;
   router_config.shard.queue_capacity = 64;
   router_config.shard.workers = 1;
   // The router lives and dies inside this object: sim_ (declared before

@@ -14,8 +14,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -220,7 +225,6 @@ TEST(HttpServer, BoundedBacklogAnswers503Inline) {
 TEST(HttpEdge, RoutesHealthzMetricsAndErrors) {
   serve::RouterConfig router_config;
   router_config.shards = 2;
-  router_config.shard.max_delay_us = 0;
   serve::Router router(make_snapshot(2, 1), router_config);
   http::EdgeConfig edge_config;
   edge_config.frame_shape = {1, kFeatures};
@@ -250,7 +254,6 @@ TEST(HttpEdge, RoutesHealthzMetricsAndErrors) {
 
 TEST(HttpEdge, ClassifyMatchesTheStreamingReferenceBitForBit) {
   serve::RouterConfig router_config;
-  router_config.shard.max_delay_us = 0;
   serve::Router router(make_snapshot(1, 1), router_config);
   http::EdgeConfig edge_config;
   edge_config.frame_shape = {1, kFeatures};
@@ -286,15 +289,102 @@ TEST(HttpEdge, ClassifyMatchesTheStreamingReferenceBitForBit) {
             400);  // frame/shape mismatch
   EXPECT_EQ(http::post("127.0.0.1", edge.port(), "/classify", "junk").status,
             400);
+  // Hostile floats on the same session: non-finite values, values out of
+  // float range, and spellings outside the strict array grammar. Any of
+  // them reaching the model would poison the session's smoothed state.
+  for (const char* frame :
+       {"[nan,2,3,4]", "[1,-nan,3,4]", "[inf,2,3,4]", "[1,2,-inf,4]",
+        "[1e39,2,3,4]", "[1,2,3,-1e39]", "[0x1p3,2,3,4]", "[+1,2,3,4]",
+        "[1,,2,3,4]", "[1,2,3,4,]", "[1 2,3,4]", "[1,2,3,4", "[,1,2,3,4]"}) {
+    EXPECT_EQ(http::post("127.0.0.1", edge.port(), "/classify",
+                         std::string("{\"session\":7,\"frame\":") + frame +
+                             "}")
+                  .status,
+              400)
+        << frame;
+  }
+  EXPECT_EQ(router.stats().routed, 4u);  // the 400s never reached serving
+
+  // JSON whitespace around every element is fine...
+  http::ClientResponse padded = http::post(
+      "127.0.0.1", edge.port(), "/classify",
+      "{\"session\":7,\"frame\": [ 0.25 ,\t-0.5,\r\n1e-3 , 0 ] }");
+  EXPECT_EQ(padded.status, 200) << padded.body;
+  // ...and the session the hostile frames were aimed at still answers a
+  // finite confidence.
+  const std::size_t at = padded.body.find("\"confidence\":");
+  ASSERT_NE(at, std::string::npos) << padded.body;
+  EXPECT_TRUE(std::isfinite(
+      std::strtod(padded.body.c_str() + at + sizeof("\"confidence\":") - 1,
+                  nullptr)))
+      << padded.body;
 
   edge.stop();
   router.drain();
-  EXPECT_EQ(router.stats().routed, 4u);  // the 400s never reached serving
+  EXPECT_EQ(router.stats().routed, 5u);
+}
+
+/// Frame model that records the last batch it was asked to classify, so
+/// a test can see exactly which floats the edge handed to serving.
+struct RecordingClassifier final : engine::ProbabilisticClassifier {
+  sync::Mutex mu{"test/recording"};
+  Tensor last DARNET_GUARDED_BY(mu);
+
+  Tensor probabilities(const Tensor& inputs) override {
+    {
+      sync::Lock lock(mu);
+      last = inputs;
+    }
+    Tensor p({inputs.dim(0), kClasses});
+    p.fill(1.0f / static_cast<float>(kClasses));
+    return p;
+  }
+  int num_classes() const override { return kClasses; }
+  std::string describe() const override { return "recording"; }
+};
+
+// The extremes of float, printed the way clients print floats ("%.9g"),
+// must reach the model bit for bit: subnormals are not out of range, and
+// FLT_MAX's nine-digit spelling rounds back to FLT_MAX, not to infinity.
+TEST(HttpEdge, FloatExtremesReachTheModelBitExactly) {
+  auto recorder = std::make_shared<RecordingClassifier>();
+  serve::Router::Snapshot snapshot;
+  snapshot.version = 1;
+  snapshot.replicas.push_back(std::make_shared<engine::EnsembleClassifier>(
+      recorder, nullptr, bayes::ClassMap::darnet_default()));
+  serve::Router router(std::move(snapshot), serve::RouterConfig{});
+  http::EdgeConfig edge_config;
+  edge_config.frame_shape = {1, kFeatures};
+  http::Edge edge(router, edge_config);
+
+  const float sent[kFeatures] = {std::numeric_limits<float>::denorm_min(),
+                                 std::numeric_limits<float>::min(),
+                                 std::numeric_limits<float>::max(), -0.0f};
+  std::string body = "{\"session\":3,\"frame\":[";
+  char number[32];
+  for (int i = 0; i < kFeatures; ++i) {
+    std::snprintf(number, sizeof(number), i == 0 ? "%.9g" : ",%.9g",
+                  static_cast<double>(sent[i]));
+    body += number;
+  }
+  body += "]}";
+  http::ClientResponse reply =
+      http::post("127.0.0.1", edge.port(), "/classify", body);
+  ASSERT_EQ(reply.status, 200) << body << " -> " << reply.body;
+
+  edge.stop();
+  router.drain();
+  sync::Lock lock(recorder->mu);
+  ASSERT_EQ(recorder->last.numel(), static_cast<std::size_t>(kFeatures));
+  for (int i = 0; i < kFeatures; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(recorder->last[i]),
+              std::bit_cast<std::uint32_t>(sent[i]))
+        << "element " << i << " of " << body;
+  }
 }
 
 TEST(HttpEdge, QuotaRejectionMapsTo429) {
   serve::RouterConfig router_config;
-  router_config.shard.max_delay_us = 0;
   router_config.quotas[3] = serve::TenantQuota{1.0, 0.0};  // 1 shot, no refill
   serve::Router router(make_snapshot(1, 1), router_config);
   http::EdgeConfig edge_config;
@@ -367,7 +457,6 @@ TEST(HttpEdge, DeadlineStampReadsTheRouterClock) {
   auto clock = std::make_shared<CountingSource>(far_future);
 
   serve::RouterConfig router_config;
-  router_config.shard.max_delay_us = 0;
   router_config.shard.time_source = clock;
   serve::Router router(make_snapshot(1, 1), router_config);
   http::EdgeConfig edge_config;

@@ -129,7 +129,6 @@ TEST(RouterQuota, TokenBucketsAreDeterministicUnderVirtualTime) {
   auto clock = std::make_shared<ManualSource>();
   serve::RouterConfig config;
   config.shards = 1;
-  config.shard.max_delay_us = 0;
   config.shard.time_source = clock;
   config.quotas[7] = serve::TenantQuota{2.0, 1.0};  // burst 2, 1 token/s
   serve::Router router(make_snapshot(1, 1), config);
@@ -190,7 +189,6 @@ TEST(RouterSwap, HotSwapDropsNothingAndKeepsVerdictsBitIdentical) {
 
   serve::RouterConfig config;
   config.shards = 3;
-  config.shard.max_delay_us = 0;
   serve::Router router(make_snapshot(3, 1), config);
   EXPECT_EQ(router.snapshot_version(), 1u);
 
@@ -265,7 +263,6 @@ TEST(RouterEquivalence, OneShardMatchesABareServer) {
   }
 
   serve::ShardConfig shard_config;
-  shard_config.max_delay_us = 0;
   serve::Server server(make_dense_ensemble(), shard_config);
 
   serve::RouterConfig router_config;

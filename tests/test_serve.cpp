@@ -1,7 +1,7 @@
 // Tests for the serving tier: micro-batching determinism (bit-identical to
-// the single-threaded StreamingClassifier reference), backpressure and the
-// shed policy, per-request deadlines, graceful drain, and the degraded-mode
-// watermark hysteresis. Runs under the tsan leg.
+// the single-threaded StreamingClassifier reference), batch formation,
+// backpressure and the shed policy, per-request deadlines, graceful drain,
+// and the degraded-mode watermark hysteresis. Runs under the tsan leg.
 //
 // Note: std::thread is banned outside src/parallel (darnet_lint
 // thread-outside-parallel), so concurrency here is exercised through the
@@ -56,12 +56,14 @@ struct GatedClassifier final : engine::ProbabilisticClassifier {
   sync::CondVar cv;
   int entered DARNET_GUARDED_BY(mu){0};
   int calls DARNET_GUARDED_BY(mu){0};
+  std::vector<int> rows DARNET_GUARDED_BY(mu);  // batch size of each call
   bool open DARNET_GUARDED_BY(mu){true};
 
   Tensor probabilities(const Tensor& inputs) override {
     sync::UniqueLock lock(mu);
     ++entered;
     ++calls;
+    rows.push_back(inputs.dim(0));
     cv.notify_all();
     cv.wait(lock, [&] { return open; });
     Tensor p({inputs.dim(0), kClasses});
@@ -178,7 +180,6 @@ TEST(ServeDeterminism, BitIdenticalToStreamingReference) {
   // with batching and two workers.
   serve::ShardConfig config;
   config.max_batch = 4;
-  config.max_delay_us = 500;
   config.queue_capacity = 256;
   config.workers = 2;
   config.streaming = streaming;
@@ -232,6 +233,44 @@ TEST(ServeDeterminism, BitIdenticalToStreamingReference) {
   EXPECT_EQ(stats.shed + stats.rejected + stats.timeouts, 0u);
 }
 
+// Batch formation takes whatever is queued the moment a worker is free: a
+// lone request enters the model alone, and requests that arrive while a
+// pass runs become the next batch, cut at max_batch.
+TEST(ServeBatching, RowsGatherOnlyWhileAPassRuns) {
+  const auto rows_served = [](int max_batch, int backlog) {
+    auto gate = std::make_shared<GatedClassifier>();
+    auto ensemble = std::make_shared<engine::EnsembleClassifier>(
+        gate, nullptr, bayes::ClassMap::darnet_default());
+    serve::ShardConfig config;
+    config.max_batch = max_batch;
+    serve::Server server(ensemble, config);
+
+    const Tensor frame({1, kFeatures});
+    gate->close_gate();
+    auto lone = server.submit(make_request(0, frame));
+    EXPECT_EQ(lone.admit, serve::Admit::kAccepted);
+    gate->await_entered(1);
+    std::vector<std::future<serve::Response>> queued;
+    for (int i = 1; i <= backlog; ++i) {
+      auto sub = server.submit(
+          make_request(static_cast<std::uint64_t>(i), frame));
+      EXPECT_EQ(sub.admit, serve::Admit::kAccepted);
+      queued.push_back(std::move(sub.response));
+    }
+    EXPECT_EQ(server.queue_depth(), static_cast<std::size_t>(backlog));
+    gate->release();
+
+    EXPECT_EQ(lone.response.get().status, serve::Status::kOk);
+    for (auto& f : queued) EXPECT_EQ(f.get().status, serve::Status::kOk);
+    server.drain();
+    sync::Lock lock(gate->mu);
+    return gate->rows;
+  };
+
+  EXPECT_EQ(rows_served(8, 5), (std::vector<int>{1, 5}));
+  EXPECT_EQ(rows_served(4, 5), (std::vector<int>{1, 4, 1}));
+}
+
 TEST(ServeBackpressure, ShedOldestAdmitsTheNewcomer) {
   auto gate = std::make_shared<GatedClassifier>();
   auto ensemble = std::make_shared<engine::EnsembleClassifier>(
@@ -239,7 +278,6 @@ TEST(ServeBackpressure, ShedOldestAdmitsTheNewcomer) {
 
   serve::ShardConfig config;
   config.max_batch = 1;
-  config.max_delay_us = 0;
   config.queue_capacity = 2;
   config.shed_oldest = true;
   serve::Server server(ensemble, config);
@@ -286,7 +324,6 @@ TEST(ServeBackpressure, RejectsWhenSheddingDisabled) {
 
   serve::ShardConfig config;
   config.max_batch = 1;
-  config.max_delay_us = 0;
   config.queue_capacity = 1;
   config.shed_oldest = false;
   serve::Server server(ensemble, config);
@@ -312,7 +349,6 @@ TEST(ServeBackpressure, RejectsWhenSheddingDisabled) {
 TEST(ServeDeadlines, ExpiredRequestsTimeOutWithoutInference) {
   auto ensemble = make_dense_ensemble();
   serve::ShardConfig config;
-  config.max_delay_us = 0;
   serve::Server server(ensemble, config);
 
   engine::ClassifyRequest request =
@@ -338,7 +374,6 @@ TEST(ServeDeadlines, DeadlineExactlyAtNowStillServes) {
   auto ensemble = make_dense_ensemble();
   auto frozen = std::make_shared<FrozenSource>();
   serve::ShardConfig config;
-  config.max_delay_us = 0;
   config.time_source = frozen;
   serve::Server server(ensemble, config);
 
@@ -378,7 +413,6 @@ TEST(ServeDeterminism, NullTimeSourceMatchesExplicitWallClock) {
   const auto run = [&](std::shared_ptr<serve::TimeSource> source) {
     serve::ShardConfig config;
     config.max_batch = 4;
-    config.max_delay_us = 200;
     config.workers = 2;
     config.time_source = std::move(source);
     serve::Server server(ensemble, config);
@@ -446,7 +480,6 @@ TEST(ServeHotSwap, SwapKeepsSessionStreamsBitIdentical) {
   }
 
   serve::ShardConfig config;
-  config.max_delay_us = 0;
   serve::Server server(ensemble, config);
   EXPECT_THROW(server.swap_ensemble(nullptr), std::invalid_argument);
 
@@ -476,7 +509,6 @@ TEST(ServeDrain, LeavesNoPendingFuturesAndRejectsAfter) {
   auto ensemble = make_dense_ensemble();
   serve::ShardConfig config;
   config.max_batch = 4;
-  config.max_delay_us = 50'000;  // long window: drain must cut it short
   serve::Server server(ensemble, config);
 
   util::Rng rng(11);
@@ -547,7 +579,6 @@ TEST(ServeDegraded, WatermarkHysteresisSkipsTheFrameModel) {
 
   serve::ShardConfig config;
   config.max_batch = 8;
-  config.max_delay_us = 0;
   config.queue_capacity = 32;
   config.degrade_high_watermark = 4;
   config.degrade_low_watermark = 1;

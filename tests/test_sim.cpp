@@ -190,7 +190,6 @@ TEST(ServeTimeSource, DeadlinesAreJudgedOnTheInjectedClock) {
       << "host steady clock too young for this regression to discriminate";
 
   serve::ShardConfig config;
-  config.max_delay_us = 0;
   config.time_source = time;
   serve::Server server(tiny_ensemble(), config);
 
@@ -215,7 +214,6 @@ TEST(ServeTimeSource, DeadlinesAreJudgedOnTheInjectedClock) {
 
 TEST(ServeTimeSource, ForceDegradedOverridesHysteresis) {
   serve::ShardConfig config;
-  config.max_delay_us = 0;
   auto ensemble = tiny_ensemble();
   serve::Server server(ensemble, config);
   EXPECT_FALSE(server.degraded_mode());

@@ -261,7 +261,6 @@ TEST(SyncParity, ServedPipelineBitIdenticalAcrossBuildModes) {
   // provably never changes what the code under it computes.
   serve::ShardConfig config;
   config.max_batch = 4;
-  config.max_delay_us = 500;
   config.workers = 1;
   serve::Server server(make_dense_ensemble(), config);
 
@@ -339,7 +338,6 @@ TEST(SyncTeardown, ServerDestructionWithInflightRequests) {
       gate, nullptr, bayes::ClassMap::darnet_default());
   serve::ShardConfig config;
   config.max_batch = 2;
-  config.max_delay_us = 100;
   serve::Server server(ensemble, config);
 
   gate->close_gate();

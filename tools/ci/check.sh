@@ -24,7 +24,10 @@
 #            non-empty deterministic metrics export, and sim/* + serve/*
 #            names in the registry snapshot -- the end-to-end proof that
 #            the simulated fleet drives the production serving stack
-#            (docs/SIMULATION.md)
+#            (docs/SIMULATION.md). Then build bench_fleet, regenerate
+#            BENCH_fleet.json at its recorded scale and cmp it with the
+#            checked-in file: every number in it is simulated time, so
+#            any byte of difference is a behaviour change
 #   sync-stress
 #            concurrency-correctness stress: Debug + ThreadSanitizer with
 #            DARNET_CHECKED=ON explicit, building only the lock-heavy
@@ -157,7 +160,10 @@ run_serve_smoke() {
 # sim-smoke leg: the fleet simulator end to end. Build fleet_simulator in
 # a Release + observability configuration, run the steady scenario at 100
 # sessions, and assert it exits 0, writes a non-empty metrics export, and
-# pushes sim/* and serve/* names through the obs registry.
+# pushes sim/* and serve/* names through the obs registry. Then pin the
+# evidence file: bench_fleet at 10000 sessions must reproduce the
+# checked-in BENCH_fleet.json byte for byte (EXPERIMENTS.md "Fleet
+# simulation").
 run_sim_smoke() {
   leg_dir="${BUILD_ROOT}/sim-smoke"
   echo
@@ -167,8 +173,9 @@ run_sim_smoke() {
     FAILED+=("sim-smoke (configure)")
     return 1
   fi
-  echo "=== [sim-smoke] build fleet_simulator (-j${JOBS}) ==="
-  if ! cmake --build "${leg_dir}" -j "${JOBS}" --target fleet_simulator; then
+  echo "=== [sim-smoke] build fleet_simulator + bench_fleet (-j${JOBS}) ==="
+  if ! cmake --build "${leg_dir}" -j "${JOBS}" --target fleet_simulator \
+       --target bench_fleet; then
     FAILED+=("sim-smoke (build)")
     return 1
   fi
@@ -199,6 +206,20 @@ run_sim_smoke() {
     echo "obs registry snapshot lacks sim/* or serve/* names" >&2
     rm -rf "${sim_dir}"
     FAILED+=("sim-smoke (obs registry)")
+    return 1
+  fi
+  echo "=== [sim-smoke] BENCH_fleet.json reproduces byte for byte ==="
+  if ! "${leg_dir}/bench/bench_fleet" 10000 "${sim_dir}/BENCH_fleet.json"; then
+    echo "bench_fleet exited nonzero" >&2
+    rm -rf "${sim_dir}"
+    FAILED+=("sim-smoke (bench_fleet)")
+    return 1
+  fi
+  if ! cmp "${sim_dir}/BENCH_fleet.json" "${ROOT}/BENCH_fleet.json"; then
+    echo "regenerated BENCH_fleet.json differs from the checked-in file" \
+         "(a same-seed diff is a behaviour change, EXPERIMENTS.md)" >&2
+    rm -rf "${sim_dir}"
+    FAILED+=("sim-smoke (BENCH_fleet.json drift)")
     return 1
   fi
   rm -rf "${sim_dir}"
