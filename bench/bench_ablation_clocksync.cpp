@@ -15,6 +15,7 @@
 namespace {
 
 using namespace darnet::collection;
+namespace sim = darnet::sim;
 
 struct RunResult {
   double clock_error_abs;
@@ -22,10 +23,10 @@ struct RunResult {
 };
 
 RunResult run(double drift_ppm, double sync_period_s, double horizon_s) {
-  Simulation sim;
-  LinkConfig link_cfg;
-  VirtualLink up(sim, link_cfg, 3);
-  VirtualLink down(sim, link_cfg, 4);
+  sim::Simulation sim;
+  sim::LinkConfig link_cfg;
+  sim::VirtualLink up(sim, link_cfg, 3);
+  sim::VirtualLink down(sim, link_cfg, 4);
 
   ControllerConfig ctrl_cfg;
   ctrl_cfg.clock_sync_period_s = sync_period_s;
@@ -46,7 +47,7 @@ RunResult run(double drift_ppm, double sync_period_s, double horizon_s) {
 
   agent.add_sensor(std::make_unique<CallbackSensor>(
       "sig", 0.025,
-      [&sim](SimTime) {
+      [&sim](sim::SimTime) {
         return std::vector<float>{static_cast<float>(sim.now())};
       }));
 

@@ -3,12 +3,12 @@
 // "Performance").
 //
 // Runs `analyze::analyze_tree` over the repo several times and records
-// min/mean/max wall seconds plus what the run saw: files/functions
-// indexed, static lock edges, effect-table sizes (may-block /
-// reads-clock function counts) and per-rule finding counts *before*
-// baseline suppression (the baseline is a reporting concern; the rules'
-// raw output is what costs time). The JSON blob is checked in as
-// BENCH_analyze.json.
+// min/mean/max wall seconds plus what the run saw: files checked by the
+// per-file rules, files/functions indexed, static lock edges, effect-table
+// sizes (may-block / reads-clock function counts) and finding counts for
+// every rule in the catalogue *before* baseline suppression (the baseline
+// is a reporting concern; the rules' raw output is what costs time). The
+// JSON blob is checked in as BENCH_analyze.json.
 //
 // Acceptance gates (exit non-zero on miss):
 //  1. Budget: every run completes inside the 10s wall-time budget.
@@ -36,15 +36,6 @@ namespace {
 constexpr int kRuns = 5;
 constexpr double kBudgetSeconds = 10.0;
 
-// Full rule catalogue, so zero-count rules still appear in the JSON and
-// a rule rename shows up as a count moving between keys.
-const char* const kRules[] = {
-    "lock-order",           "guarded-by",
-    "hot-path-alloc-transitive", "unchecked-status",
-    "blocking-under-lock",  "time-source-purity",
-    "unchecked-posix-io",   "stale-baseline",
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,8 +51,12 @@ int main(int argc, char** argv) {
     const auto t1 = std::chrono::steady_clock::now();
     wall_s.push_back(std::chrono::duration<double>(t1 - t0).count());
 
+    // Every catalogue rule gets a key, so zero counts still appear in the
+    // JSON and a rule rename shows up as a count moving between keys.
     std::map<std::string, int> run_counts;
-    for (const char* rule : kRules) run_counts[rule] = 0;
+    for (const auto& rule : darnet::analyze::kRuleCatalogue) {
+      run_counts[std::string(rule.name)] = 0;
+    }
     for (const auto& f : res.findings) ++run_counts[f.rule];
     if (run == 0) {
       counts = run_counts;
@@ -91,9 +86,11 @@ int main(int argc, char** argv) {
   char buf[256];
   json += "{\n  \"bench\": \"analyze\",\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"runs\": %d,\n  \"files_indexed\": %d,\n"
+                "  \"runs\": %d,\n  \"files_checked\": %d,\n"
+                "  \"files_indexed\": %d,\n"
                 "  \"functions_indexed\": %d,\n  \"lock_edges\": %d,\n",
-                kRuns, last.files_indexed, last.functions_indexed,
+                kRuns, last.files_checked, last.files_indexed,
+                last.functions_indexed,
                 static_cast<int>(last.lock_edges.size()));
   json += buf;
   std::snprintf(buf, sizeof(buf),
@@ -106,9 +103,11 @@ int main(int argc, char** argv) {
                 may_block, reads_clock);
   json += buf;
   json += "  \"findings_per_rule\": {\n";
-  for (std::size_t i = 0; i < std::size(kRules); ++i) {
-    std::snprintf(buf, sizeof(buf), "    \"%s\": %d%s\n", kRules[i],
-                  counts[kRules[i]], i + 1 < std::size(kRules) ? "," : "");
+  const auto& rules = darnet::analyze::kRuleCatalogue;
+  for (std::size_t i = 0; i < std::size(rules); ++i) {
+    const std::string name(rules[i].name);
+    std::snprintf(buf, sizeof(buf), "    \"%s\": %d%s\n", name.c_str(),
+                  counts[name], i + 1 < std::size(rules) ? "," : "");
     json += buf;
   }
   json += "  }\n}\n";

@@ -10,8 +10,9 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "collection/link.hpp"
 #include "privacy/privacy.hpp"
+#include "sim/link.hpp"
+#include "sim/queue.hpp"
 #include "util/table.hpp"
 #include "vision/renderer.hpp"
 
@@ -43,12 +44,12 @@ int main(int argc, char** argv) {
   double latency_none = 0.0, latency_high = 0.0;
   int row = 0;
   for (DistortionLevel level : levels) {
-    collection::Simulation sim;
-    collection::LinkConfig link_cfg;
+    sim::Simulation sim;
+    sim::LinkConfig link_cfg;
     link_cfg.bandwidth_bps = 2.0e6;  // constrained uplink
     link_cfg.base_latency_s = 0.02;
     link_cfg.jitter_s = 0.004;
-    collection::VirtualLink link(sim, link_cfg, 7);
+    sim::VirtualLink link(sim, link_cfg, 7);
     int delivered = 0;
     link.set_receiver([&](std::vector<std::uint8_t>) { ++delivered; });
 

@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
 
   collection::SessionRecording recording;
   {
-    collection::Simulation sim;
+    sim::Simulation sim;
     collection::ControllerConfig ctrl_cfg;
     collection::Controller controller(sim, ctrl_cfg);
-    collection::LinkConfig link_cfg;
-    collection::VirtualLink up(sim, link_cfg, 1);
-    collection::VirtualLink down(sim, link_cfg, 2);
+    sim::LinkConfig link_cfg;
+    sim::VirtualLink up(sim, link_cfg, 1);
+    sim::VirtualLink down(sim, link_cfg, 2);
 
     collection::AgentConfig agent_cfg;
     agent_cfg.agent_id = 2;
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     const auto trace = imu::generate_trace(
         imu::PhoneOrientation::kPocket, gen, rng);
     agent.add_sensor(std::make_unique<collection::CallbackSensor>(
-        "imu.accel", 0.025, [&trace, gen](collection::SimTime now) {
+        "imu.accel", 0.025, [&trace, gen](sim::SimTime now) {
           const auto idx = std::min(
               trace.size() - 1,
               static_cast<std::size_t>(now * gen.sample_hz));
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
 
   // --- Phase 3: offline -- reload everything and replay ---
   const auto loaded = collection::SessionRecording::load(recording_path);
-  collection::Simulation replay_sim;
+  sim::Simulation replay_sim;
   collection::Controller replay_controller(replay_sim, {});
   loaded.replay_into(replay_sim, replay_controller);
   replay_sim.run_until(loaded.duration() + 1.0);

@@ -6,8 +6,8 @@
 
 namespace darnet::collection {
 
-CollectionAgent::CollectionAgent(Simulation& sim, AgentConfig config,
-                                 VirtualLink& uplink)
+CollectionAgent::CollectionAgent(sim::Simulation& sim, AgentConfig config,
+                                 sim::VirtualLink& uplink)
     : sim_(sim),
       config_(config),
       uplink_(uplink),

@@ -11,10 +11,11 @@
 #include <memory>
 #include <vector>
 
-#include "collection/link.hpp"
 #include "collection/messages.hpp"
 #include "collection/sensor.hpp"
-#include "collection/sim.hpp"
+#include "sim/clock.hpp"
+#include "sim/link.hpp"
+#include "sim/queue.hpp"
 
 namespace darnet::collection {
 
@@ -38,7 +39,8 @@ class CollectionAgent {
  public:
   /// `uplink` carries agent->controller traffic; the controller's sync
   /// messages arrive via on_message(). The agent registers itself on start.
-  CollectionAgent(Simulation& sim, AgentConfig config, VirtualLink& uplink);
+  CollectionAgent(sim::Simulation& sim, AgentConfig config,
+                  sim::VirtualLink& uplink);
 
   void add_sensor(std::unique_ptr<Sensor> sensor);
 
@@ -51,7 +53,7 @@ class CollectionAgent {
   /// Deliver a controller->agent payload (clock sync).
   void on_message(std::span<const std::uint8_t> bytes);
 
-  [[nodiscard]] const DeviceClock& clock() const noexcept { return clock_; }
+  [[nodiscard]] const sim::SimClock& clock() const noexcept { return clock_; }
   [[nodiscard]] double clock_error_now() const noexcept {
     return clock_.error(sim_.now());
   }
@@ -66,10 +68,10 @@ class CollectionAgent {
   void flush();
   void transmit();
 
-  Simulation& sim_;
+  sim::Simulation& sim_;
   AgentConfig config_;
-  VirtualLink& uplink_;
-  DeviceClock clock_;
+  sim::VirtualLink& uplink_;
+  sim::SimClock clock_;
   std::vector<std::unique_ptr<Sensor>> sensors_;
   std::vector<SensorReading> buffer_;
   std::size_t buffered_bytes_{0};

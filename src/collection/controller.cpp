@@ -6,7 +6,7 @@
 
 namespace darnet::collection {
 
-Controller::Controller(Simulation& sim, ControllerConfig config)
+Controller::Controller(sim::Simulation& sim, ControllerConfig config)
     : sim_(sim), config_(config) {
   if (config.clock_sync_period_s <= 0.0 || config.alignment_dt_s <= 0.0 ||
       config.smoothing_window_s < 0.0) {
@@ -14,7 +14,8 @@ Controller::Controller(Simulation& sim, ControllerConfig config)
   }
 }
 
-void Controller::attach_agent(std::uint32_t agent_id, VirtualLink& downlink) {
+void Controller::attach_agent(std::uint32_t agent_id,
+                              sim::VirtualLink& downlink) {
   if (downlinks_.contains(agent_id)) {
     throw std::invalid_argument("Controller::attach_agent: duplicate agent");
   }

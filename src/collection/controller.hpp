@@ -10,9 +10,10 @@
 #include <map>
 #include <optional>
 
-#include "collection/link.hpp"
 #include "collection/messages.hpp"
 #include "collection/store.hpp"
+#include "sim/link.hpp"
+#include "sim/queue.hpp"
 
 namespace darnet::collection {
 
@@ -30,10 +31,10 @@ struct ControllerConfig {
 
 class Controller {
  public:
-  Controller(Simulation& sim, ControllerConfig config);
+  Controller(sim::Simulation& sim, ControllerConfig config);
 
   /// Attach an agent's downlink (controller -> agent, used for clock sync).
-  void attach_agent(std::uint32_t agent_id, VirtualLink& downlink);
+  void attach_agent(std::uint32_t agent_id, sim::VirtualLink& downlink);
 
   /// Begin the periodic clock-sync broadcast.
   void start();
@@ -76,10 +77,10 @@ class Controller {
  private:
   void broadcast_clock_sync();
 
-  Simulation& sim_;
+  sim::Simulation& sim_;
   ControllerConfig config_;
   TimeSeriesStore store_;
-  std::map<std::uint32_t, VirtualLink*> downlinks_;
+  std::map<std::uint32_t, sim::VirtualLink*> downlinks_;
   std::map<std::uint32_t, std::vector<std::string>> agent_streams_;
   std::uint64_t batches_{0};
   std::uint64_t tuples_{0};

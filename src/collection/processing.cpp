@@ -34,7 +34,7 @@ void NetworkEstimator::observe(double rtt_s, double bandwidth_bps) {
   bandwidth_ = (1.0 - alpha_) * bandwidth_ + alpha_ * bandwidth_bps;
 }
 
-void NetworkEstimator::observe_link(const VirtualLink& link) {
+void NetworkEstimator::observe_link(const sim::VirtualLink& link) {
   const auto& stats = link.stats();
   const double latency = stats.mean_latency_s();
   if (latency <= 0.0) return;  // nothing delivered yet

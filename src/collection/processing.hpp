@@ -15,7 +15,7 @@
 
 #include <cstddef>
 
-#include "collection/link.hpp"
+#include "sim/link.hpp"
 
 namespace darnet::collection {
 
@@ -45,7 +45,7 @@ class NetworkEstimator {
 
   /// Ingest a link's cumulative stats directly (latency from the mean,
   /// bandwidth from the configured channel rate).
-  void observe_link(const VirtualLink& link);
+  void observe_link(const sim::VirtualLink& link);
 
   [[nodiscard]] double rtt_s() const noexcept { return rtt_; }
   [[nodiscard]] double bandwidth_bps() const noexcept { return bandwidth_; }

@@ -21,7 +21,7 @@ void SessionRecording::drain_into(Controller& controller) const {
   for (const auto& msg : messages_) controller.on_message(msg.payload);
 }
 
-void SessionRecording::replay_into(Simulation& sim,
+void SessionRecording::replay_into(sim::Simulation& sim,
                                    Controller& controller) const {
   for (const auto& msg : messages_) {
     if (msg.arrival_time < sim.now()) {

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "collection/controller.hpp"
-#include "collection/sim.hpp"
+#include "sim/queue.hpp"
 
 namespace darnet::collection {
 
@@ -44,7 +44,7 @@ class SessionRecording {
 
   /// Schedule every message into `controller` at its original arrival
   /// time on `sim` (timing-faithful replay). The caller runs the sim.
-  void replay_into(Simulation& sim, Controller& controller) const;
+  void replay_into(sim::Simulation& sim, Controller& controller) const;
 
   void serialize(util::BinaryWriter& writer) const;
   static SessionRecording deserialize(util::BinaryReader& reader);
@@ -60,7 +60,7 @@ class SessionRecording {
 /// recorded (with the simulation's current time) and delivered.
 class RecordingTap {
  public:
-  RecordingTap(Simulation& sim, Controller& controller,
+  RecordingTap(sim::Simulation& sim, Controller& controller,
                SessionRecording& recording)
       : sim_(&sim), controller_(&controller), recording_(&recording) {}
 
@@ -70,7 +70,7 @@ class RecordingTap {
   }
 
  private:
-  Simulation* sim_;
+  sim::Simulation* sim_;
   Controller* controller_;
   SessionRecording* recording_;
 };

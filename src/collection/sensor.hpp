@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "collection/sim.hpp"
+#include "sim/clock.hpp"
 
 namespace darnet::collection {
 
@@ -25,7 +25,7 @@ class Sensor {
 
   /// Sample the sensor at true simulation time `now`. The agent never sees
   /// `now` directly -- it stamps the reading with its own drifting clock.
-  virtual std::vector<float> sample(SimTime now) = 0;
+  virtual std::vector<float> sample(sim::SimTime now) = 0;
 
   /// Native polling period (the paper's Android listeners fire every 25 ms).
   [[nodiscard]] virtual double poll_period_s() const = 0;
@@ -36,12 +36,12 @@ class Sensor {
 /// from the scene renderer).
 class CallbackSensor final : public Sensor {
  public:
-  using Sampler = std::function<std::vector<float>(SimTime)>;
+  using Sampler = std::function<std::vector<float>(sim::SimTime)>;
 
   CallbackSensor(std::string stream, double poll_period_s, Sampler sampler);
 
   [[nodiscard]] const std::string& stream() const override { return stream_; }
-  std::vector<float> sample(SimTime now) override { return sampler_(now); }
+  std::vector<float> sample(sim::SimTime now) override { return sampler_(now); }
   [[nodiscard]] double poll_period_s() const override { return period_; }
 
  private:

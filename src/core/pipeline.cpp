@@ -80,13 +80,13 @@ void StreamingPipeline::build() {
   controller_ = std::make_unique<collection::Controller>(sim_,
                                                          config_.controller);
 
-  camera_up_ = std::make_unique<collection::VirtualLink>(
+  camera_up_ = std::make_unique<sim::VirtualLink>(
       sim_, config_.camera_link, config_.seed ^ 0x100);
-  camera_down_ = std::make_unique<collection::VirtualLink>(
+  camera_down_ = std::make_unique<sim::VirtualLink>(
       sim_, config_.camera_link, config_.seed ^ 0x101);
-  phone_up_ = std::make_unique<collection::VirtualLink>(
+  phone_up_ = std::make_unique<sim::VirtualLink>(
       sim_, config_.phone_link, config_.seed ^ 0x200);
-  phone_down_ = std::make_unique<collection::VirtualLink>(
+  phone_down_ = std::make_unique<sim::VirtualLink>(
       sim_, config_.phone_link, config_.seed ^ 0x201);
 
   collection::AgentConfig camera_cfg;
@@ -122,7 +122,7 @@ void StreamingPipeline::build() {
   // Camera sensor: renders the scripted behaviour at poll time.
   camera_agent_->add_sensor(std::make_unique<collection::CallbackSensor>(
       "camera", config_.camera_period_s,
-      [this](collection::SimTime now) {
+      [this](sim::SimTime now) {
         const vision::Image frame = vision::render_driver_scene(
             script_.behaviour_at(now), config_.render, rng_);
         return std::vector<float>(frame.pixels().begin(),
@@ -132,22 +132,22 @@ void StreamingPipeline::build() {
   // Phone sensors: one stream per physical sensor, all reading the shared
   // trace (as the Android sensor manager fans one IMU out to listeners).
   phone_agent_->add_sensor(std::make_unique<collection::CallbackSensor>(
-      "imu.accel", config_.imu_period_s, [this](collection::SimTime now) {
+      "imu.accel", config_.imu_period_s, [this](sim::SimTime now) {
         const auto& s = sample_at(now);
         return std::vector<float>(s.accel.begin(), s.accel.end());
       }));
   phone_agent_->add_sensor(std::make_unique<collection::CallbackSensor>(
-      "imu.gyro", config_.imu_period_s, [this](collection::SimTime now) {
+      "imu.gyro", config_.imu_period_s, [this](sim::SimTime now) {
         const auto& s = sample_at(now);
         return std::vector<float>(s.gyro.begin(), s.gyro.end());
       }));
   phone_agent_->add_sensor(std::make_unique<collection::CallbackSensor>(
-      "imu.gravity", config_.imu_period_s, [this](collection::SimTime now) {
+      "imu.gravity", config_.imu_period_s, [this](sim::SimTime now) {
         const auto& s = sample_at(now);
         return std::vector<float>(s.gravity.begin(), s.gravity.end());
       }));
   phone_agent_->add_sensor(std::make_unique<collection::CallbackSensor>(
-      "imu.rotation", config_.imu_period_s, [this](collection::SimTime now) {
+      "imu.rotation", config_.imu_period_s, [this](sim::SimTime now) {
         const auto& s = sample_at(now);
         return std::vector<float>(s.rotation.begin(), s.rotation.end());
       }));
@@ -219,10 +219,10 @@ std::vector<StreamedClassification> StreamingPipeline::run(
   return results;
 }
 
-const collection::LinkStats& StreamingPipeline::camera_link_stats() const {
+const sim::LinkStats& StreamingPipeline::camera_link_stats() const {
   return camera_up_->stats();
 }
-const collection::LinkStats& StreamingPipeline::phone_link_stats() const {
+const sim::LinkStats& StreamingPipeline::phone_link_stats() const {
   return phone_up_->stats();
 }
 

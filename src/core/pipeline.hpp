@@ -40,8 +40,8 @@ struct PipelineConfig {
   vision::RenderConfig render;
   imu::ImuGenConfig imu;
   collection::ControllerConfig controller;
-  collection::LinkConfig camera_link;  // tablet-internal: effectively ideal
-  collection::LinkConfig phone_link;   // Bluetooth-like
+  sim::LinkConfig camera_link;  // tablet-internal: effectively ideal
+  sim::LinkConfig phone_link;   // Bluetooth-like
   double camera_period_s = 0.25;       // frame poll period
   double imu_period_s = 0.025;         // Android sensor listeners: 25 ms
   double phone_drift_ppm = 180.0;      // the Nexus S clock drifts
@@ -71,8 +71,8 @@ class StreamingPipeline {
   [[nodiscard]] const collection::Controller& controller() const noexcept {
     return *controller_;
   }
-  [[nodiscard]] const collection::LinkStats& camera_link_stats() const;
-  [[nodiscard]] const collection::LinkStats& phone_link_stats() const;
+  [[nodiscard]] const sim::LinkStats& camera_link_stats() const;
+  [[nodiscard]] const sim::LinkStats& phone_link_stats() const;
   [[nodiscard]] double phone_clock_error() const noexcept {
     return phone_agent_->clock_error_now();
   }
@@ -87,9 +87,9 @@ class StreamingPipeline {
   PipelineConfig config_;
   util::Rng rng_;
 
-  collection::Simulation sim_;
-  std::unique_ptr<collection::VirtualLink> camera_up_, camera_down_;
-  std::unique_ptr<collection::VirtualLink> phone_up_, phone_down_;
+  sim::Simulation sim_;
+  std::unique_ptr<sim::VirtualLink> camera_up_, camera_down_;
+  std::unique_ptr<sim::VirtualLink> phone_up_, phone_down_;
   std::unique_ptr<collection::Controller> controller_;
   std::unique_ptr<collection::CollectionAgent> camera_agent_, phone_agent_;
 

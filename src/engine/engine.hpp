@@ -8,7 +8,7 @@
 //     model elsewhere pass a non-owning handle via `engine::borrow`. The
 //     historical reference/raw-pointer shim constructors are gone; the
 //     gate token that used to enable them is banned tree-wide by
-//     darnet_lint (engine-deprecated-shim).
+//     darnet_analyze (engine-deprecated-shim).
 //   * Requests and results are value types. `ClassifyRequest` carries a
 //     session id, a tenant id (the multi-tenant admission key the router
 //     meters quotas on), a deadline and the two modality tensors;

@@ -28,7 +28,7 @@
 // Naming contract: every metric/span name is a compile-time literal of the
 // form `subsystem/verb_noun` (lowercase [a-z0-9_], >= 2 '/'-separated
 // segments). Every name registered under src/ MUST have a matching row in
-// docs/OBSERVABILITY.md -- `darnet_lint` extracts the literals and fails
+// docs/OBSERVABILITY.md -- `darnet_analyze` extracts the literals and fails
 // CTest on drift in either direction. The registry enforces the grammar at
 // registration time.
 //
@@ -274,7 +274,7 @@ int unevaluated(const Args&...) noexcept;
 // DARNET_SPAN_DETAIL(name, d)    -- span with a detail annotation (copied).
 //
 // `name` must be a string literal (the no-capture lambda/static-handle
-// expansion will not compile otherwise), matching the lint-enforced
+// expansion will not compile otherwise), matching the analyzer-enforced
 // documentation contract. Registry lookups happen once per call site via a
 // function-local static handle; steady-state cost is one relaxed atomic op
 // (counters/gauges) or two clock reads (timers/spans).

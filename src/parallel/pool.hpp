@@ -131,7 +131,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
 /// workers execute short chunked regions and must never block on external
 /// events, whereas a ServiceThread runs one long-lived body that may wait
 /// on queues. Lives in src/parallel because the parallel layer owns all
-/// thread creation in the tree (darnet_lint: thread-outside-parallel).
+/// thread creation in the tree (darnet_analyze: thread-outside-parallel).
 ///
 /// Join semantics: join() blocks until the body returns; the destructor
 /// joins if still joinable. The body is responsible for observing its own

@@ -100,7 +100,9 @@ Router::Router(Snapshot snapshot, RouterConfig config)
       shards_(build_shards(snapshot, config_)),
       ring_(build_ring(config_)) {
   version_ = snapshot.version;
-  DARNET_GAUGE_SET("route/shards", static_cast<std::int64_t>(shards()));
+  // Through the registry, not DARNET_GAUGE_SET: /metrics reports the shard
+  // count in every build mode, DARNET_OBS=OFF included.
+  obs::registry().gauge("route/shards").set(static_cast<double>(shards()));
 }
 
 Router::~Router() { drain(); }

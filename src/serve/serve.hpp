@@ -226,7 +226,7 @@ class Server {
   // enforces the documented direction the moment anyone does.
 
   // Admission + batch formation. deque is the FIFO; capacity is enforced
-  // at every push (see the serve-bounded-queue lint rule).
+  // at every push (see the serve-bounded-queue analyzer rule).
   mutable sync::Mutex mu_{"serve/admission"};
   sync::CondVar work_cv_;
   std::deque<Pending> queue_ DARNET_GUARDED_BY(mu_);

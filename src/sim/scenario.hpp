@@ -4,7 +4,7 @@
 // quality, clock behaviour, lifecycle churn, serving drills -- looked up
 // by name from the fleet_simulator tool, bench_fleet, and the tests.
 // Every scenario registered here MUST have a row in docs/SIMULATION.md's
-// catalogue table; darnet_lint enforces the two-way contract
+// catalogue table; darnet_analyze enforces the two-way contract
 // (sim-doc-missing / sim-doc-stale), exactly like the obs metric rules.
 #pragma once
 

@@ -435,20 +435,14 @@ WaitWatch::WaitWatch(UniqueLock& lock, const std::source_location& loc)
   fatal_ = config.fatal;
 }
 
-void WaitWatch::wait_slice(std::condition_variable& cv,
-                           std::chrono::steady_clock::time_point deadline) {
+void WaitWatch::wait_slice(std::condition_variable& cv) {
   on_cv_release(mu_, loc_);
   {
     std::unique_lock<std::mutex> native(mu_.native(), std::adopt_lock);
-    auto slice_deadline = deadline;
     if (bound_us_ > 0 && !tripped_) {
-      const auto trip_at = start_ + std::chrono::microseconds(bound_us_);
-      if (trip_at < slice_deadline) slice_deadline = trip_at;
-    }
-    if (slice_deadline == std::chrono::steady_clock::time_point::max()) {
-      cv.wait(native);
+      cv.wait_until(native, start_ + std::chrono::microseconds(bound_us_));
     } else {
-      cv.wait_until(native, slice_deadline);
+      cv.wait(native);
     }
     native.release();
   }

@@ -35,9 +35,9 @@
 // Annotation macros: DARNET_GUARDED_BY(mu) tags a member as protected by a
 // mutex, DARNET_ATOMIC tags intentionally lock-free members, and
 // DARNET_THREAD_LOCAL tags thread-confined members.  They expand to nothing
-// on every compiler -- the contract is enforced by darnet_lint
-// (sync-guarded-by), not the compiler, so the annotations can never bit-rot
-// into semantic changes.
+// on every compiler -- the contract is enforced by darnet_analyze
+// (sync-guarded-by, guarded-by), not the compiler, so the annotations can
+// never bit-rot into semantic changes.
 
 #include <chrono>
 #include <condition_variable>
@@ -46,7 +46,8 @@
 #include <string>
 #include <vector>
 
-// Lint-level annotations (machine-checked by darnet_lint sync-guarded-by).
+// Analyzer-level annotations (machine-checked by darnet_analyze's
+// sync-guarded-by and guarded-by rules).
 #define DARNET_GUARDED_BY(mu)
 #define DARNET_ATOMIC
 #define DARNET_THREAD_LOCAL
@@ -296,12 +297,10 @@ class WaitWatch {
  public:
   WaitWatch(UniqueLock& lock, const std::source_location& loc);
 
-  // One bounded native wait on `cv`.  Returns after cv wakes (or a slice
-  // deadline passes); trips the watchdog when the total elapsed wait
-  // exceeds the configured bound.  `deadline` caps the slice for timed
-  // waits (pass time_point::max() for untimed waits).
-  void wait_slice(std::condition_variable& cv,
-                  std::chrono::steady_clock::time_point deadline);
+  // One native wait on `cv`.  Returns after cv wakes, or once the
+  // watchdog bound passes, and trips the watchdog when the total elapsed
+  // wait exceeds that bound.
+  void wait_slice(std::condition_variable& cv);
 
  private:
   Mutex& mu_;
@@ -330,23 +329,7 @@ class CondVar {
   void wait(UniqueLock& lock, Pred pred,
             std::source_location loc = std::source_location::current()) {
     detail::WaitWatch watch(lock, loc);
-    while (!pred()) {
-      watch.wait_slice(cv_, std::chrono::steady_clock::time_point::max());
-    }
-  }
-
-  // Returns pred() at exit, exactly like std::condition_variable::wait_until
-  // with a predicate.
-  template <typename Pred>
-  bool wait_until(UniqueLock& lock,
-                  std::chrono::steady_clock::time_point deadline, Pred pred,
-                  std::source_location loc = std::source_location::current()) {
-    detail::WaitWatch watch(lock, loc);
-    while (!pred()) {
-      if (std::chrono::steady_clock::now() >= deadline) return pred();
-      watch.wait_slice(cv_, deadline);
-    }
-    return true;
+    while (!pred()) watch.wait_slice(cv_);
   }
 
  private:
@@ -386,16 +369,6 @@ class CondVar {
                                         std::adopt_lock);
     cv_.wait(native, std::move(pred));
     native.release();
-  }
-
-  template <typename Pred>
-  bool wait_until(UniqueLock& lock,
-                  std::chrono::steady_clock::time_point deadline, Pred pred) {
-    std::unique_lock<std::mutex> native(lock.mutex().native(),
-                                        std::adopt_lock);
-    const bool out = cv_.wait_until(native, deadline, std::move(pred));
-    native.release();
-    return out;
   }
 
  private:

@@ -6,7 +6,7 @@
 // arena and returns it there on destruction. After one warm-up pass the
 // arena holds a block for every size the workload uses, so steady-state
 // inference performs zero heap allocations (proven by the
-// counting-allocator test, enforced by the hot-path-alloc lint rule).
+// counting-allocator test, enforced by the hot-path-alloc analyzer rule).
 //
 // Ownership and threading:
 //  * An Arena is single-thread-at-a-time: it has no internal locking. The
@@ -118,7 +118,7 @@ inline void scratch_free(void* p, std::size_t bytes) noexcept {
 
 /// Arena-backed contiguous float buffer -- the Tensor payload and the
 /// sanctioned replacement for std::vector<float> on the inference hot
-/// path (hot-path-alloc lint rule). Value-semantic like vector, but the
+/// path (hot-path-alloc analyzer rule). Value-semantic like vector, but the
 /// backing block comes from the thread's scratch arena when one is
 /// active, and construction can skip the zero-fill (Init::kUninit) for
 /// buffers that are fully overwritten.

@@ -7,7 +7,7 @@ sync::Mutex g_mu{"serve/admission"};
 
 struct Queue {
   sync::CondVar cv;
-  int depth;
+  int depth DARNET_GUARDED_BY(g_mu);
 };
 
 Queue g_queue;

@@ -1,13 +1,17 @@
-// test_analyze: unit tests for the darnet_analyze lexer and symbol index,
-// plus the runtime-vs-static lock-order consistency check: every edge the
-// checked sync runtime records while this suite's workload runs must be
-// compatible with the graph darnet_analyze extracts statically (no inverted
-// pair, and the union of both graphs stays acyclic).
+// test_analyze: unit tests for the darnet_analyze lexer, symbol index,
+// per-file rules, rule catalogue and baseline, plus the runtime-vs-static
+// lock-order consistency check: every edge the checked sync runtime records
+// while this suite's workload runs must be compatible with the graph
+// darnet_analyze extracts statically (no inverted pair, and the union of
+// both graphs stays acyclic).
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,6 +129,114 @@ TEST(AnalyzeLexer, DirectivesAndIncludesRecordedOutOfBand) {
   ASSERT_EQ(lexed.directives.size(), 3u);
   EXPECT_EQ(lexed.directives[2].name, "define");
   EXPECT_EQ(lexed.directives[2].rest, "FOO 1");
+}
+
+TEST(AnalyzeLexer, CommentsRecordedOutOfBandWithTheNextToken) {
+  const auto lexed = analyze::lex(
+      "int a; // REQUIRES: mu held\n/* two\nlines */ void f() {}\n", "t.cpp");
+  EXPECT_FALSE(has_ident(lexed, "REQUIRES"));
+  ASSERT_EQ(lexed.comments.size(), 2u);
+  EXPECT_EQ(lexed.comments[0].text, " REQUIRES: mu held");
+  EXPECT_EQ(lexed.comments[0].line, 1);
+  EXPECT_EQ(lexed.comments[0].next_token, 3u);  // `void`
+  EXPECT_EQ(lexed.comments[1].text, " two\nlines ");
+  EXPECT_EQ(lexed.comments[1].line, 2);
+  EXPECT_EQ(lexed.comments[1].next_token, 3u);
+}
+
+// Per-file findings for one snippet lexed (and indexed) as `path`, each
+// rendered "rule:line".
+std::vector<std::string> file_findings(const char* src, const char* path) {
+  analyze::Index idx;
+  analyze::index_file(idx, analyze::lex(src, path));
+  analyze::DocUses uses;
+  std::vector<analyze::Finding> findings;
+  analyze::check_file(idx.files[0].lex, idx.files[0].functions, uses,
+                      findings);
+  std::vector<std::string> out;
+  for (const analyze::Finding& f : findings) {
+    out.push_back(f.rule + ":" + std::to_string(f.line));
+  }
+  return out;
+}
+
+TEST(AnalyzeFileRules, DirectivesCannotHideABannedToken) {
+  EXPECT_EQ(file_findings("#include <new>\n#define SPAWN std::thread\n",
+                          "src/fix/spawn.cpp"),
+            std::vector<std::string>{"thread-outside-parallel:2"});
+}
+
+TEST(AnalyzeFileRules, RequiresMarkerReportsItsOwnLine) {
+  EXPECT_EQ(file_findings("/* Bumps the count.\n   REQUIRES: mu held */\n"
+                          "void bump() { ++n; }\n"
+                          "// REQUIRES: mu held\n"
+                          "void peek();\n",
+                          "src/fix/count.cpp"),
+            std::vector<std::string>{"sync-assert-held:2"});
+}
+
+// The exemption registry names step_sharded, not its whole file: a float
+// vector anywhere else in src/nn/trainer.cpp is still a finding.
+TEST(AnalyzeFileRules, HotPathAllocExemptionIsPerFunction) {
+  EXPECT_EQ(file_findings("double step_sharded() {\n"
+                          "  std::vector<double> shard_loss(4, 0.0);\n"
+                          "  return shard_loss[0];\n"
+                          "}\n"
+                          "float predict_logits() {\n"
+                          "  std::vector<float> logits(4);\n"
+                          "  return logits[0];\n"
+                          "}\n",
+                          "src/nn/trainer.cpp"),
+            std::vector<std::string>{"hot-path-alloc:6"});
+}
+
+// Only semantic findings are baselinable: an entry naming a per-file,
+// doc or report rule suppresses nothing and is itself reported.
+TEST(AnalyzeBaseline, OnlySemanticRulesCanBeSuppressed) {
+  for (const analyze::RuleInfo& rule : analyze::kRuleCatalogue) {
+    const std::string name(rule.name);
+    std::vector<analyze::Finding> findings = {
+        {name, "src/fix.cpp", 3, "sym", "message"}};
+    analyze::apply_baseline(findings,
+                            {{name, "src/fix.cpp", "sym", "reviewed"}},
+                            "baseline.json", /*stale_check=*/true);
+    if (rule.kind == analyze::RuleKind::kSemantic) {
+      EXPECT_TRUE(findings.empty()) << name;
+      continue;
+    }
+    ASSERT_EQ(findings.size(), 2u) << name;
+    EXPECT_EQ(findings[0].rule, name);
+    EXPECT_EQ(findings[1].rule, "stale-baseline");
+    EXPECT_NE(findings[1].message.find("rule cannot be baselined"),
+              std::string::npos);
+  }
+}
+
+// One catalogue: every rule has a fixture tree (io-error aside: git cannot
+// hold an unreadable file) and a row in docs/STATIC_ANALYSIS.md, and every
+// fixture tree is named after a catalogue rule.
+TEST(AnalyzeCatalogue, RulesFixturesAndDocsAgree) {
+  const std::filesystem::path root(DARNET_REPO_ROOT);
+  std::ifstream in(root / "docs" / "STATIC_ANALYSIS.md");
+  std::stringstream doc;
+  doc << in.rdbuf();
+  std::set<std::string> names;
+  for (const analyze::RuleInfo& rule : analyze::kRuleCatalogue) {
+    const std::string name(rule.name);
+    names.insert(name);
+    EXPECT_NE(doc.str().find("| `" + name + "` |"), std::string::npos)
+        << name << " has no docs/STATIC_ANALYSIS.md row";
+    if (name == "io-error") continue;
+    EXPECT_TRUE(std::filesystem::is_directory(
+        root / "tests" / "analyze_fixtures" / name / "fail"))
+        << name << " has no fail fixture";
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(
+           root / "tests" / "analyze_fixtures")) {
+    if (!entry.is_directory()) continue;
+    EXPECT_TRUE(names.contains(entry.path().filename().string()))
+        << entry.path() << " names no catalogue rule";
+  }
 }
 
 TEST(AnalyzeIndex, ClassMembersLocksAndCalls) {

@@ -7,18 +7,20 @@
 
 #include "collection/agent.hpp"
 #include "collection/controller.hpp"
-#include "collection/link.hpp"
 #include "collection/messages.hpp"
 #include "collection/sensor.hpp"
-#include "collection/sim.hpp"
 #include "collection/store.hpp"
+#include "sim/clock.hpp"
+#include "sim/link.hpp"
+#include "sim/queue.hpp"
 
 namespace {
 
 using namespace darnet::collection;
+namespace sim = darnet::sim;
 
 TEST(Simulation, RunsEventsInTimeOrder) {
-  Simulation sim;
+  sim::Simulation sim;
   std::vector<int> order;
   sim.schedule(2.0, [&] { order.push_back(2); });
   sim.schedule(1.0, [&] { order.push_back(1); });
@@ -29,7 +31,7 @@ TEST(Simulation, RunsEventsInTimeOrder) {
 }
 
 TEST(Simulation, SameTimeEventsRunFifo) {
-  Simulation sim;
+  sim::Simulation sim;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     sim.schedule(1.0, [&order, i] { order.push_back(i); });
@@ -39,7 +41,7 @@ TEST(Simulation, SameTimeEventsRunFifo) {
 }
 
 TEST(Simulation, HandlersCanScheduleMoreEvents) {
-  Simulation sim;
+  sim::Simulation sim;
   int fired = 0;
   std::function<void()> tick = [&] {
     ++fired;
@@ -51,7 +53,7 @@ TEST(Simulation, HandlersCanScheduleMoreEvents) {
 }
 
 TEST(Simulation, HorizonStopsFutureEvents) {
-  Simulation sim;
+  sim::Simulation sim;
   int fired = 0;
   sim.schedule(5.0, [&] { ++fired; });
   sim.run_until(4.0);
@@ -62,7 +64,7 @@ TEST(Simulation, HorizonStopsFutureEvents) {
 }
 
 TEST(Simulation, RejectsPastAndNull) {
-  Simulation sim;
+  sim::Simulation sim;
   sim.run_until(5.0);
   EXPECT_THROW(sim.schedule(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule(6.0, nullptr), std::invalid_argument);
@@ -70,13 +72,13 @@ TEST(Simulation, RejectsPastAndNull) {
 }
 
 TEST(DeviceClock, DriftAccumulates) {
-  DeviceClock clock(/*drift_ppm=*/1000.0);  // 1 ms per second
+  sim::SimClock clock(/*drift_ppm=*/1000.0);  // 1 ms per second
   EXPECT_NEAR(clock.error(10.0), 0.01, 1e-9);
   EXPECT_NEAR(clock.read(10.0), 10.01, 1e-9);
 }
 
 TEST(DeviceClock, SetSlamsToMaster) {
-  DeviceClock clock(500.0, 0.3);
+  sim::SimClock clock(500.0, 0.3);
   clock.set(100.0, 100.002);  // master time + latency constant
   EXPECT_NEAR(clock.read(100.0), 100.002, 1e-12);
   // Drift resumes after the sync.
@@ -118,11 +120,11 @@ TEST(Messages, RegisterRoundTrip) {
 }
 
 TEST(VirtualLink, DeliversWithLatency) {
-  Simulation sim;
-  LinkConfig cfg;
+  sim::Simulation sim;
+  sim::LinkConfig cfg;
   cfg.base_latency_s = 0.1;
   cfg.jitter_s = 0.0;
-  VirtualLink link(sim, cfg, 1);
+  sim::VirtualLink link(sim, cfg, 1);
   double delivered_at = -1.0;
   link.set_receiver([&](std::vector<std::uint8_t>) {
     delivered_at = sim.now();
@@ -136,12 +138,12 @@ TEST(VirtualLink, DeliversWithLatency) {
 }
 
 TEST(VirtualLink, BandwidthSerialisesLargeMessages) {
-  Simulation sim;
-  LinkConfig cfg;
+  sim::Simulation sim;
+  sim::LinkConfig cfg;
   cfg.base_latency_s = 0.0;
   cfg.jitter_s = 0.0;
   cfg.bandwidth_bps = 8000.0;  // 1 kB/s
-  VirtualLink link(sim, cfg, 2);
+  sim::VirtualLink link(sim, cfg, 2);
   std::vector<double> deliveries;
   link.set_receiver([&](std::vector<std::uint8_t>) {
     deliveries.push_back(sim.now());
@@ -155,10 +157,10 @@ TEST(VirtualLink, BandwidthSerialisesLargeMessages) {
 }
 
 TEST(VirtualLink, LossDropsDeterministically) {
-  Simulation sim;
-  LinkConfig cfg;
+  sim::Simulation sim;
+  sim::LinkConfig cfg;
   cfg.loss_rate = 0.5;
-  VirtualLink link(sim, cfg, 3);
+  sim::VirtualLink link(sim, cfg, 3);
   int received = 0;
   link.set_receiver([&](std::vector<std::uint8_t>) { ++received; });
   for (int i = 0; i < 200; ++i) link.send({0});
@@ -282,13 +284,13 @@ TEST(Store, RejectsWidthChangesAndEmptyTuples) {
 
 /// Wires one agent to one controller over configurable links.
 struct Deployment {
-  Simulation sim;
-  VirtualLink up, down;
+  sim::Simulation sim;
+  sim::VirtualLink up, down;
   Controller controller;
   CollectionAgent agent;
 
   explicit Deployment(AgentConfig agent_cfg, ControllerConfig ctrl_cfg = {},
-                      LinkConfig link_cfg = {})
+                      sim::LinkConfig link_cfg = {})
       : up(sim, link_cfg, 11),
         down(sim, link_cfg, 12),
         controller(sim, ctrl_cfg),
@@ -310,7 +312,7 @@ TEST(AgentController, RegistrationAndDataFlow) {
   Deployment d(cfg);
   int polls = 0;
   d.agent.add_sensor(std::make_unique<CallbackSensor>(
-      "counter", 0.05, [&polls](SimTime) {
+      "counter", 0.05, [&polls](sim::SimTime) {
         return std::vector<float>{static_cast<float>(++polls)};
       }));
   d.controller.start();
@@ -331,7 +333,8 @@ TEST(AgentController, SizeTriggeredBatchingFlushesEarly) {
   cfg.max_batch_bytes = 256;
   Deployment d(cfg);
   d.agent.add_sensor(std::make_unique<CallbackSensor>(
-      "bulky", 0.05, [](SimTime) { return std::vector<float>(32, 1.0f); }));
+      "bulky", 0.05,
+      [](sim::SimTime) { return std::vector<float>(32, 1.0f); }));
   d.controller.start();
   d.agent.start();
   d.sim.run_until(2.0);
@@ -347,7 +350,8 @@ TEST(AgentController, PeriodOnlyBatchingWaitsForTimer) {
   cfg.max_batch_bytes = 0;  // disabled
   Deployment d(cfg);
   d.agent.add_sensor(std::make_unique<CallbackSensor>(
-      "bulky", 0.05, [](SimTime) { return std::vector<float>(32, 1.0f); }));
+      "bulky", 0.05,
+      [](sim::SimTime) { return std::vector<float>(32, 1.0f); }));
   d.controller.start();
   d.agent.start();
   d.sim.run_until(2.0);
@@ -364,7 +368,7 @@ TEST(AgentController, ClockSyncBoundsDriftError) {
   ctrl.clock_sync_period_s = 1.0;
   Deployment d(cfg, ctrl);
   d.agent.add_sensor(std::make_unique<CallbackSensor>(
-      "s", 0.1, [](SimTime) { return std::vector<float>{0.0f}; }));
+      "s", 0.1, [](sim::SimTime) { return std::vector<float>{0.0f}; }));
   d.controller.start();
   d.agent.start();
   d.sim.run_until(10.0);
@@ -381,7 +385,7 @@ TEST(AgentController, NoSyncMeansErrorGrows) {
   ctrl.clock_sync_period_s = 1e9;  // effectively never
   Deployment d(cfg, ctrl);
   d.agent.add_sensor(std::make_unique<CallbackSensor>(
-      "s", 0.1, [](SimTime) { return std::vector<float>{0.0f}; }));
+      "s", 0.1, [](sim::SimTime) { return std::vector<float>{0.0f}; }));
   d.controller.start();
   d.agent.start();
   d.sim.run_until(10.0);
@@ -389,23 +393,23 @@ TEST(AgentController, NoSyncMeansErrorGrows) {
 }
 
 TEST(AgentController, DuplicateAgentRejected) {
-  Simulation sim;
-  VirtualLink down(sim, {}, 1);
+  sim::Simulation sim;
+  sim::VirtualLink down(sim, {}, 1);
   Controller controller(sim, {});
   controller.attach_agent(1, down);
   EXPECT_THROW(controller.attach_agent(1, down), std::invalid_argument);
 }
 
 TEST(AgentController, ControllerRejectsClockSyncFromAgent) {
-  Simulation sim;
+  sim::Simulation sim;
   Controller controller(sim, {});
   EXPECT_THROW(controller.on_message(encode(ClockSyncMessage{1.0})),
                std::logic_error);
 }
 
 TEST(AgentController, AgentLifecycleGuards) {
-  Simulation sim;
-  VirtualLink up(sim, {}, 1);
+  sim::Simulation sim;
+  sim::VirtualLink up(sim, {}, 1);
   up.set_receiver([](std::vector<std::uint8_t>) {});
   AgentConfig cfg;
   cfg.agent_id = 1;
@@ -413,7 +417,8 @@ TEST(AgentController, AgentLifecycleGuards) {
   agent.start();
   EXPECT_THROW(agent.start(), std::logic_error);
   EXPECT_THROW(agent.add_sensor(std::make_unique<CallbackSensor>(
-                   "s", 0.1, [](SimTime) { return std::vector<float>{0.0f}; })),
+                   "s", 0.1,
+                   [](sim::SimTime) { return std::vector<float>{0.0f}; })),
                std::logic_error);
 }
 

@@ -9,7 +9,7 @@
 // warm-up pass populates the arena's buckets and the pack caches, N
 // further classify_batch calls must perform exactly zero `new`s.
 //
-// The hot-path-alloc lint rule is the static half of this contract
+// The hot-path-alloc analyzer rule is the static half of this contract
 // (no std::vector<float> in the hot-path directories); this test is the
 // dynamic half that catches what a token ban cannot (std::string
 // churn, shared_ptr copies, map rebalancing, ...).

@@ -11,6 +11,7 @@
 namespace {
 
 using namespace darnet::collection;
+namespace sim = darnet::sim;
 
 TEST(NetworkEstimator, EwmaSmoothsMeasurements) {
   NetworkEstimator est(0.5);
@@ -77,11 +78,11 @@ TEST(ProcessingDecision, HysteresisPreventsFlapping) {
 }
 
 TEST(ProcessingDecision, EstimatorIngestsLinkStats) {
-  Simulation sim;
-  LinkConfig cfg;
+  sim::Simulation sim;
+  sim::LinkConfig cfg;
   cfg.base_latency_s = 0.02;
   cfg.jitter_s = 0.0;
-  VirtualLink link(sim, cfg, 5);
+  sim::VirtualLink link(sim, cfg, 5);
   link.set_receiver([](std::vector<std::uint8_t>) {});
   link.send({1, 2, 3, 4});
   sim.run_until(1.0);
@@ -110,7 +111,7 @@ TEST(Recording, DrainDeliversEverythingInOrder) {
   rec.append(0.1, encode(RegisterMessage{1, {"s"}}));
   rec.append(0.6, encode(batch));
 
-  Simulation sim;
+  sim::Simulation sim;
   Controller controller(sim, {});
   rec.drain_into(controller);
   EXPECT_EQ(controller.tuples_received(), 1u);
@@ -124,7 +125,7 @@ TEST(Recording, ReplayPreservesArrivalTiming) {
   batch.readings.push_back({"s", 1.0, {1.0f}, 0});
   rec.append(2.5, encode(batch));
 
-  Simulation sim;
+  sim::Simulation sim;
   Controller controller(sim, {});
   rec.replay_into(sim, controller);
   sim.run_until(2.0);
@@ -149,7 +150,7 @@ TEST(Recording, SerializationAndFileRoundTrip) {
 }
 
 TEST(Recording, TapRecordsWhileDelivering) {
-  Simulation sim;
+  sim::Simulation sim;
   Controller controller(sim, {});
   SessionRecording rec;
   RecordingTap tap(sim, controller, rec);

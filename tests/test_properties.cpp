@@ -176,10 +176,10 @@ class ClockSyncProperty
 
 TEST_P(ClockSyncProperty, SteadyStateErrorBounded) {
   const auto [drift_ppm, period_s] = GetParam();
-  collection::Simulation sim;
-  collection::LinkConfig link_cfg;
-  collection::VirtualLink up(sim, link_cfg, 1);
-  collection::VirtualLink down(sim, link_cfg, 2);
+  sim::Simulation sim;
+  sim::LinkConfig link_cfg;
+  sim::VirtualLink up(sim, link_cfg, 1);
+  sim::VirtualLink down(sim, link_cfg, 2);
   collection::ControllerConfig ctrl_cfg;
   ctrl_cfg.clock_sync_period_s = period_s;
   collection::Controller controller(sim, ctrl_cfg);
@@ -195,7 +195,7 @@ TEST_P(ClockSyncProperty, SteadyStateErrorBounded) {
       [&](std::vector<std::uint8_t> b) { agent.on_message(b); });
   controller.attach_agent(1, down);
   agent.add_sensor(std::make_unique<collection::CallbackSensor>(
-      "s", 0.1, [](collection::SimTime) {
+      "s", 0.1, [](sim::SimTime) {
         return std::vector<float>{0.0f};
       }));
   controller.start();

@@ -143,11 +143,11 @@ TEST(RecordingProperty, DrainAndReplayProduceIdenticalStores) {
     rec.append(t, collection::encode(batch));
   }
 
-  collection::Simulation sim_a;
+  sim::Simulation sim_a;
   collection::Controller drained(sim_a, {});
   rec.drain_into(drained);
 
-  collection::Simulation sim_b;
+  sim::Simulation sim_b;
   collection::Controller replayed(sim_b, {});
   rec.replay_into(sim_b, replayed);
   sim_b.run_until(t + 1.0);

@@ -3,8 +3,8 @@
 // backpressure and the shed policy, per-request deadlines, graceful drain,
 // and the degraded-mode watermark hysteresis. Runs under the tsan leg.
 //
-// Note: std::thread is banned outside src/parallel (darnet_lint
-// thread-outside-parallel), so concurrency here is exercised through the
+// Note: std::thread is banned outside src/parallel (darnet_analyze's
+// thread-outside-parallel rule), so concurrency here is exercised through the
 // Server's own workers, gated by condition variables inside stub models.
 #include <gtest/gtest.h>
 

@@ -15,8 +15,8 @@
 //     reuse/destruction after a throwing region, exercising the
 //     swap-then-join discipline (no lock held across join/notify).
 //
-// std::thread is banned outside src/parallel (darnet_lint
-// thread-outside-parallel); cross-thread scenarios use
+// std::thread is banned outside src/parallel (darnet_analyze's
+// thread-outside-parallel rule); cross-thread scenarios use
 // parallel::ServiceThread and the serve tier's own workers.
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -42,7 +43,6 @@ namespace {
 using namespace darnet;
 using namespace std::chrono_literals;
 using tensor::Tensor;
-using Clock = std::chrono::steady_clock;
 
 constexpr int kFeatures = 4;
 constexpr int kClasses = 6;
@@ -193,16 +193,6 @@ TEST(SyncCondVar, CrossThreadSignal) {
   producer.join();
 }
 
-TEST(SyncCondVar, WaitUntilTimesOutAndReportsPredicate) {
-  sync::Mutex mu{"test/timeout"};
-  sync::CondVar cv;
-  sync::UniqueLock lock(mu);
-  const bool result =
-      cv.wait_until(lock, Clock::now() + 5ms, [] { return false; });
-  EXPECT_FALSE(result);
-  EXPECT_TRUE(lock.owns_lock());
-}
-
 TEST(SyncCondVar, WatchdogTripsOnOverlongWait) {
   if (!sync::enabled()) GTEST_SKIP() << "watchdog is checked-build only";
   const sync::WatchdogConfig previous = sync::wait_watchdog();
@@ -211,12 +201,24 @@ TEST(SyncCondVar, WatchdogTripsOnOverlongWait) {
   {
     sync::Mutex mu{"test/watchdog"};
     sync::CondVar cv;
-    sync::UniqueLock lock(mu);
-    // Nothing ever signals: the 20ms timed wait exceeds the 2ms bound, so
-    // the watchdog must flag a potential lost wakeup (warn, not abort).
-    const bool woke =
-        cv.wait_until(lock, Clock::now() + 20ms, [] { return false; });
-    EXPECT_FALSE(woke);
+    bool released DARNET_GUARDED_BY(mu) = false;
+    // The predicate turns true only ~20ms in, so the wait outlasts the 2ms
+    // bound and the watchdog must flag a potential lost wakeup (warn, not
+    // abort) before the wait returns.
+    parallel::ServiceThread releaser([&] {
+      std::this_thread::sleep_for(20ms);
+      {
+        sync::Lock lock(mu);
+        released = true;
+      }
+      cv.notify_one();
+    });
+    {
+      sync::UniqueLock lock(mu);
+      cv.wait(lock, [&] { return released; });
+      EXPECT_TRUE(released);
+    }
+    releaser.join();
   }
   EXPECT_GT(sync::watchdog_trips(), before);
   sync::set_wait_watchdog(previous);
@@ -415,7 +417,7 @@ TEST(SyncStress, ContendedProducersAndCondvarHandoff) {
   int consumed = 0;
   while (consumed < kProducers * kPerProducer) {
     sync::UniqueLock lock(mu);
-    cv.wait_until(lock, Clock::now() + 50ms, [&] { return tokens > 0; });
+    cv.wait(lock, [&] { return tokens > 0; });
     consumed += tokens;
     tokens = 0;
   }

@@ -1,5 +1,7 @@
-// darnet_analyze — token/symbol-level cross-file static analyzer for the
-// darnet repo's concurrency, hot-path, and contract rules.
+// darnet_analyze — the repo's static checker: per-file rules, doc-drift
+// contracts, and cross-file semantic rules for concurrency, the hot path
+// and API contracts (catalogue: kRuleCatalogue in report.hpp; rule docs:
+// docs/STATIC_ANALYSIS.md).
 //
 // Usage (flags and the 0/1/2 exit-code contract follow
 // tools/common/cli.hpp):
@@ -7,10 +9,10 @@
 //                  [--baseline=<path>] [--no-stale-check]
 //                  [--dump-lock-graph=<path>] [--dump-effects=<path>] [--list]
 //
-// Text findings go to stderr (same `file:line: [rule] message` shape
-// as darnet_lint, so tests/lint_fixtures/run_fixtures.sh drives both); JSON
-// goes to stdout, and --out writes the selected rendering to a file.
-// --list prints the rule catalogue. The default baseline is
+// Text findings go to stderr in the `file:line: [rule] message` shape that
+// tests/analyze_fixtures/run_fixtures.sh keys on; JSON goes to stdout, and
+// --out writes the selected rendering to a file. --list prints the rule
+// catalogue. The default baseline is
 // <root>/tools/analyze/analyze_baseline.json when that file exists.
 #include <cstdio>
 #include <cstring>
@@ -21,25 +23,6 @@
 
 #include "tools/analyze/rules.hpp"
 #include "tools/common/cli.hpp"
-
-namespace {
-
-/// The --list catalogue (full rule docs: docs/STATIC_ANALYSIS.md).
-constexpr struct {
-  const char* name;
-  const char* what;
-} kRuleCatalogue[] = {
-    {"lock-order", "mutex acquisition-order cycles / hierarchy breaks"},
-    {"guarded-by", "guarded member touched without its lock held"},
-    {"hot-path-alloc-transitive", "allocation reachable from hot roots"},
-    {"unchecked-status", "Admit/Status result discarded as a statement"},
-    {"blocking-under-lock", "may-block call reachable under a sync::Lock"},
-    {"time-source-purity", "wall-clock read outside whitelisted seams"},
-    {"unchecked-posix-io", "::send/recv/accept/close status discarded"},
-    {"stale-baseline", "baseline suppression matching nothing"},
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace darnet::analyze;
@@ -56,8 +39,12 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv, 1) || !parser.format(json)) return 2;
   if (parser.help()) return 0;
   if (parser.on("list")) {
-    for (const auto& rule : kRuleCatalogue) {
-      std::printf("%-26s %s\n", rule.name, rule.what);
+    static constexpr const char* kKinds[] = {"per-file", "doc", "semantic",
+                                             "report"};
+    for (const RuleInfo& rule : kRuleCatalogue) {
+      std::printf("%-26.*s %-9s %.*s\n", static_cast<int>(rule.name.size()),
+                  rule.name.data(), kKinds[static_cast<int>(rule.kind)],
+                  static_cast<int>(rule.what.size()), rule.what.data());
     }
     return 0;
   }
@@ -167,9 +154,9 @@ int main(int argc, char** argv) {
   }
   if (res.findings.empty()) {
     std::fprintf(stderr,
-                 "darnet_analyze: clean (%d files, %d functions, %zu lock "
-                 "edges)\n",
-                 res.files_indexed, res.functions_indexed,
+                 "darnet_analyze: clean (%d files checked, %d indexed, %d "
+                 "functions, %zu lock edges)\n",
+                 res.files_checked, res.files_indexed, res.functions_indexed,
                  res.lock_edges.size());
     return 0;
   }

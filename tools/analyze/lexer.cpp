@@ -75,26 +75,40 @@ struct Lexer {
     if (emitting()) out.tokens.push_back(Token{kind, std::move(text), at_line});
   }
 
-  void line_comment() {
-    i += 2;
-    while (i < s.size()) {
-      if (splice()) continue;  // comment continues onto next physical line
-      if (s[i] == '\n') return;  // leave the newline for the main loop
-      ++i;
+  void comment(size_t begin, size_t end, int at_line) {
+    if (emitting()) {
+      out.comments.push_back(Comment{std::string(s.substr(begin, end - begin)),
+                                     at_line, out.tokens.size()});
     }
   }
 
-  void block_comment() {
+  void line_comment() {
+    const int at_line = line;
     i += 2;
+    const size_t begin = i;
+    while (i < s.size()) {
+      if (splice()) continue;  // comment continues onto next physical line
+      if (s[i] == '\n') break;  // leave the newline for the main loop
+      ++i;
+    }
+    comment(begin, i, at_line);
+  }
+
+  void block_comment() {
+    const int at_line = line;
+    i += 2;
+    const size_t begin = i;
     // Standard C++ block comments do not nest; pinned by a lexer unit test.
     while (i < s.size()) {
       if (s[i] == '*' && peek() == '/') {
+        comment(begin, i, at_line);
         i += 2;
         return;
       }
       if (s[i] == '\n') ++line;
       ++i;
     }
+    comment(begin, i, at_line);
   }
 
   // Ordinary string or char literal starting at the opening quote.

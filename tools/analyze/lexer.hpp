@@ -3,17 +3,17 @@
 // prefixes), line continuations, and preprocessor directives.
 //
 // The lexer is deliberately simpler than a real C++ front end:
-//  - Preprocessor directives are recorded out-of-band (Directive list) and do
-//    not appear in the token stream.
+//  - Preprocessor directives and comments are recorded out-of-band
+//    (Directive and Comment lists) and do not appear in the token stream.
 //  - `#if 0` regions are skipped entirely; every other conditional branch is
 //    included (an over-approximation: downstream passes must tolerate seeing
 //    both sides of `#if DARNET_CHECKED` style blocks).
 //  - Tokens carry no semantic classification beyond the five coarse kinds;
 //    keyword/identifier distinctions are made by the consumer.
 //
-// This is the single tokenizer shared by darnet_analyze and darnet_lint so
-// that "does this rule match inside a comment or string literal" has exactly
-// one answer in the repo.
+// Every darnet_analyze rule, per-file and cross-file, reads this one
+// tokenizer's output, so "does this rule match inside a comment or string
+// literal" has exactly one answer in the repo.
 #pragma once
 
 #include <string>
@@ -45,10 +45,20 @@ struct Directive {
   int line;
 };
 
+// A comment, recorded out-of-band. `text` excludes the `//` or `/* */`
+// markers; `next_token` is the index of the first token after it, which is
+// how a rule attaches a comment to the code that follows.
+struct Comment {
+  std::string text;
+  int line;
+  size_t next_token;
+};
+
 struct LexedFile {
   std::string path;
   std::vector<Token> tokens;
   std::vector<Directive> directives;
+  std::vector<Comment> comments;
   std::vector<std::string> includes;  // targets of #include, quotes/brackets stripped
 };
 

@@ -179,6 +179,13 @@ bool parse_baseline(const std::string& text, std::vector<Suppression>& out,
   return true;
 }
 
+bool baselinable(std::string_view rule) {
+  for (const RuleInfo& r : kRuleCatalogue) {
+    if (r.name == rule) return r.kind == RuleKind::kSemantic;
+  }
+  return false;
+}
+
 void apply_baseline(std::vector<Finding>& findings,
                     const std::vector<Suppression>& baseline,
                     const std::string& baseline_path, bool stale_check) {
@@ -187,7 +194,7 @@ void apply_baseline(std::vector<Finding>& findings,
   kept.reserve(findings.size());
   for (auto& f : findings) {
     bool suppressed = false;
-    for (size_t b = 0; b < baseline.size(); ++b) {
+    for (size_t b = 0; b < baseline.size() && baselinable(f.rule); ++b) {
       if (baseline[b].rule == f.rule && baseline[b].file == f.file &&
           baseline[b].symbol == f.symbol) {
         used[b] = true;
@@ -207,8 +214,11 @@ void apply_baseline(std::vector<Finding>& findings,
     f.symbol = baseline[b].symbol;
     // Print the entry exactly as it appears in the baseline file so deleting
     // it after a fix is a copy-paste search, not a reconstruction.
-    f.message = "suppression no longer matches any finding; delete this entry "
-                "from " + baseline_path + ": {\"rule\": \"" + baseline[b].rule +
+    f.message = std::string(baselinable(baseline[b].rule)
+                                ? "suppression no longer matches any finding"
+                                : "rule cannot be baselined; fix the source") +
+                "; delete this entry from " + baseline_path +
+                ": {\"rule\": \"" + baseline[b].rule +
                 "\", \"file\": \"" + baseline[b].file + "\", \"symbol\": \"" +
                 baseline[b].symbol + "\"}";
     findings.push_back(std::move(f));

@@ -38,12 +38,15 @@ const std::set<std::string>& declared_leaves() {
   return leaves;
 }
 
-// hot-path-alloc-transitive exemption registry. Entries match either a
-// "Class::function" / "function" symbol or a file-path prefix (trailing '/').
-// Every entry carries the reviewed reason it is allowed to allocate while
-// reachable from the hot path.
+// The hot-path allocation exemption registry, read by both hot-path-alloc
+// (float/double vectors in the hot-path directories) and
+// hot-path-alloc-transitive (allocations reachable from the hot roots), so
+// every entry's reason must hold for both. Entries match a directory prefix
+// (trailing '/'), one file (any other path), or a "Class::function" /
+// "function" symbol. It is hot-path-alloc's only escape hatch (per-file
+// rules are never baselined); adding an entry is a reviewed change.
 struct HotPathExempt {
-  std::string_view match;  // symbol or path prefix
+  std::string_view match;
   std::string_view reason;
 };
 constexpr HotPathExempt kHotPathAllocExempt[] = {
@@ -55,6 +58,13 @@ constexpr HotPathExempt kHotPathAllocExempt[] = {
     {"Sequential::verify_boundary",
      "entire function is #ifdef DARNET_CHECKED contract diagnostics; absent "
      "from release builds"},
+    {"step_sharded",
+     "training only: per-epoch shard loss accumulators, allocated once per "
+     "fit() epoch, never under classify_batch"},
+    {"src/nn/metrics.hpp",
+     "offline eval API: topk_accuracy takes caller-owned score vectors; only "
+     "tests and the training loop call it"},
+    {"src/nn/metrics.cpp", "offline eval API; see src/nn/metrics.hpp"},
 };
 
 struct Resolver {
@@ -592,21 +602,19 @@ void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
 // Rule 3: transitive hot-path allocation.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-bool hot_path_exempt(const FunctionInfo& F, std::string* reason) {
-  std::string sym = symbol_of(F);
+bool hot_path_alloc_exempt(const std::string& file, const FunctionInfo* fn) {
   for (const auto& e : kHotPathAllocExempt) {
-    std::string m(e.match);
-    bool hit = (!m.empty() && m.back() == '/') ? F.file.rfind(m, 0) == 0
-                                               : (sym == m || F.name == m);
-    if (hit) {
-      if (reason) *reason = std::string(e.reason);
+    const std::string_view m = e.match;
+    if (m.find('/') != std::string_view::npos) {
+      if (m.back() == '/' ? file.starts_with(m) : file == m) return true;
+    } else if (fn && (symbol_of(*fn) == m || fn->name == m)) {
       return true;
     }
   }
   return false;
 }
+
+namespace {
 
 const std::set<std::string>& growth_calls() {
   static const std::set<std::string> g = {"push_back", "emplace_back",
@@ -643,7 +651,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
     FnId id = queue.front();
     queue.pop_front();
     const FunctionInfo& F = idx.fn(id);
-    if (hot_path_exempt(F, nullptr)) continue;  // don't look inside
+    if (hot_path_alloc_exempt(F.file, &F)) continue;  // don't look inside
     for (const auto& c : F.calls) {
       for (FnId g : R.loose(F, c)) {
         const FunctionInfo& G = idx.fn(g);
@@ -674,7 +682,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
 
   for (const auto& [id, link] : parent) {
     const FunctionInfo& F = idx.fn(id);
-    if (hot_path_exempt(F, nullptr)) continue;
+    if (hot_path_alloc_exempt(F.file, &F)) continue;
     for (const auto& a : F.allocs) {
       findings.push_back(Finding{
           "hot-path-alloc-transitive", F.file, a.line, symbol_of(F),
@@ -961,7 +969,7 @@ AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
   AnalysisResult res;
   Index idx;
   std::vector<fs::path> files;
-  for (const auto& dir : opts.index_dirs) {
+  for (const char* dir : {"src", "tests", "bench", "examples", "tools"}) {
     fs::path d = root / dir;
     if (!fs::exists(d)) continue;
     for (const auto& ent : fs::recursive_directory_iterator(d)) {
@@ -973,14 +981,31 @@ AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
     }
   }
   std::sort(files.begin(), files.end());
+  std::vector<std::string> index_prefixes;
+  for (const auto& dir : opts.index_dirs) index_prefixes.push_back(dir + "/");
+  DocUses uses;
   for (const auto& p : files) {
     std::string rel = fs::relative(p, root).generic_string();
     if (under_any(rel, opts.skip_prefixes)) continue;
     std::ifstream in(p, std::ios::binary);
+    if (!in) {
+      res.findings.push_back(
+          Finding{"io-error", rel, 0, "", "cannot open file"});
+      continue;
+    }
     std::ostringstream ss;
     ss << in.rdbuf();
-    index_file(idx, lex(ss.str(), rel));
+    ++res.files_checked;
+    LexedFile lexed = lex(ss.str(), rel);
+    if (!under_any(rel, index_prefixes)) {
+      check_file(lexed, {}, uses, res.findings);
+      continue;
+    }
+    index_file(idx, std::move(lexed));
+    check_file(idx.files.back().lex, idx.files.back().functions, uses,
+               res.findings);
   }
+  check_doc_contracts(root, uses, res.findings);
   res.files_indexed = static_cast<int>(idx.files.size());
   for (const auto& fx : idx.files)
     res.functions_indexed += static_cast<int>(fx.functions.size());

@@ -1,7 +1,8 @@
-// darnet_analyze semantic rules over the symbol index.
+// darnet_analyze rules: the per-file rules (file_rules.cpp), the doc-drift
+// contracts, and the semantic rules over the symbol index (rules.cpp).
 //
-// Rule catalogue (names are stable; fixture dirs and baseline entries key on
-// them — see docs/STATIC_ANALYSIS.md):
+// Names, kinds and one-line purposes live in kRuleCatalogue (report.hpp);
+// docs/STATIC_ANALYSIS.md documents each rule. The semantic rules:
 //   lock-order                static mutex acquisition-order extraction;
 //                             flags cycles, edges against the documented
 //                             hierarchy, and edges out of declared leaves.
@@ -25,7 +26,6 @@
 //   unchecked-posix-io        ssize_t/fd return of ::send/::recv/::accept/
 //                             ::close discarded as a bare statement in
 //                             src/http.
-//   stale-baseline            (from report.cpp) suppression matching nothing.
 #pragma once
 
 #include <filesystem>
@@ -70,11 +70,12 @@ struct LockEdge {
 };
 
 struct AnalysisOptions {
-  // Directories under the root to lex+index (repo-relative).
+  // Walked directories (src tests bench examples tools) whose files are also
+  // indexed for the semantic rules. Tests stay out: gtest code would confuse
+  // call resolution.
   std::vector<std::string> index_dirs = {"src", "tools", "examples"};
   // Path prefixes to skip entirely (deliberately-broken fixture trees).
-  std::vector<std::string> skip_prefixes = {"tests/lint_fixtures/",
-                                            "tests/analyze_fixtures/"};
+  std::vector<std::string> skip_prefixes = {"tests/analyze_fixtures/"};
   // Semantic rules run only on files under these prefixes. Tests and bench
   // stay out of scope: test_sync contains deliberate lock inversions (death
   // tests) and gtest macros defeat the approximate parser.
@@ -100,13 +101,43 @@ struct AnalysisResult {
   std::vector<Finding> findings;
   std::vector<LockEdge> lock_edges;  // full static lock-order graph
   std::vector<EffectEntry> effects;  // every function with a non-empty effect
+  int files_checked = 0;  // walked and run through the per-file rules
   int files_indexed = 0;
   int functions_indexed = 0;
 };
 
-// Lex + index + run every rule over the repo at `root`.
+// Walk, lex, index and run every rule over the repo at `root`.
 AnalysisResult analyze_tree(const std::filesystem::path& root,
                             const AnalysisOptions& opts = {});
+
+// One registration site of a name a checked doc table must list.
+struct NameUse {
+  std::string name;
+  std::string file;
+  int line = 0;
+};
+
+// What the per-file rules collect for the doc-drift contracts.
+struct DocUses {
+  std::vector<NameUse> metrics;    // metric/span names registered in src/
+  std::vector<NameUse> scenarios;  // register_scenario("name", ...) in src/sim/
+};
+
+// Runs the per-file rules over one lexed file. `functions` are the file's
+// indexed function bodies (empty outside the index); hot-path-alloc matches
+// them against symbol entries of the exemption registry.
+void check_file(const LexedFile& file,
+                const std::vector<FunctionInfo>& functions, DocUses& uses,
+                std::vector<Finding>& findings);
+
+// The doc-drift contracts: every name in `uses` has a row in its doc table
+// (docs/OBSERVABILITY.md, docs/SIMULATION.md) and every row is still used.
+void check_doc_contracts(const std::filesystem::path& root,
+                         const DocUses& uses, std::vector<Finding>& findings);
+
+// The hot-path allocation exemption registry, shared by hot-path-alloc and
+// hot-path-alloc-transitive. `fn` is the enclosing function, or nullptr.
+bool hot_path_alloc_exempt(const std::string& file, const FunctionInfo* fn);
 
 // Individual rule entry points (exposed for tests).
 void rule_lock_order(const Index& idx, const AnalysisOptions& opts,

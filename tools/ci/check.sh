@@ -4,8 +4,7 @@
 # Legs (each: configure + build + ctest, warnings-as-errors everywhere):
 #   default  Release, invariants compiled out (the shipping configuration);
 #            observability is ON by default, so this leg also runs test_obs
-#            and the darnet_lint docs-drift check that every registered
-#            metric/span name matches docs/OBSERVABILITY.md
+#            with the instrumentation compiled in
 #   checked  Release + DARNET_CHECKED=ON (invariants active at full speed)
 #   asan     Debug + AddressSanitizer  (checked: Debug defaults CHECKED=ON)
 #   ubsan    Debug + UndefinedBehaviorSanitizer, -fno-sanitize-recover
@@ -34,14 +33,16 @@
 #            suites (test_sync, test_serve, test_parallel) and repeating
 #            them until-fail:2 -- the lock-order graph, held-lock stack
 #            and CV watchdog run under tsan at the same time
-#   analyze  static-analysis gate: build darnet_analyze alone (Release)
-#            and run it over the tree in --format=json mode. The leg is
-#            green only when the analyzer reports zero non-baselined
-#            findings; a baseline suppression whose finding has been fixed
-#            trips the stale-baseline rule and turns the leg red, so the
-#            baseline can only shrink to match the tree. Wall-clock
+#   analyze  the one static gate: build darnet_analyze alone (Release)
+#            and run it over the tree in --format=json mode -- per-file
+#            rules, doc-drift contracts and cross-file semantic rules in
+#            one pass. The leg is green only when the analyzer reports
+#            zero findings outside the baseline (which holds semantic
+#            findings only); a baseline suppression whose finding has been
+#            fixed trips the stale-baseline rule and turns the leg red, so
+#            the baseline can only shrink to match the tree. Wall-clock
 #            seconds land in check_summary.json like every other leg;
-#            the analyzer run itself is gated at < 10s (measured ~50ms
+#            the analyzer run itself is gated at < 10s (measured ~80ms
 #            -- see EXPERIMENTS.md and BENCH_analyze.json) and its own
 #            seconds land as top-level "analyze_run_seconds", so the
 #            leg's time is otherwise all build.
@@ -86,7 +87,7 @@ FAILED=()
 PASSED=()
 declare -A LEG_SECONDS
 # Wall-time budget for the analyzer binary itself (not the leg's build);
-# the measured run is ~0.05s, so tripping this means something regressed
+# the measured run is ~0.08s, so tripping this means something regressed
 # by two orders of magnitude. Seconds land in check_summary.json.
 ANALYZE_BUDGET_S=10
 ANALYZE_RUN_SECONDS=""
@@ -350,10 +351,10 @@ run_bench_smoke() {
   return 0
 }
 
-# analyze leg: the cross-file static analyzer as a CI gate. Builds only
+# analyze leg: the repo's one static checker as a CI gate. Builds only
 # the darnet_analyze binary and runs it over the tree in JSON mode with
-# the checked-in baseline applied. Exit 0 means zero non-baselined
-# findings AND zero stale suppressions (the default run fails on both).
+# the checked-in baseline applied. Exit 0 means zero findings outside the
+# baseline AND zero stale suppressions (the default run fails on both).
 run_analyze() {
   leg_dir="${BUILD_ROOT}/analyze"
   echo

@@ -1,6 +1,6 @@
 // darnet::cli -- the one command-line contract for the repo's tools.
 //
-// Every tool binary (fleet_simulator, darnet_lint, darnet_analyze)
+// Every tool binary (fleet_simulator, darnet_analyze)
 // parses its command line through this header so the conventions stay
 // converged instead of drifting per tool:
 //
@@ -18,7 +18,7 @@
 //                 is returned only if PATH itself is unwritable.
 //
 // Exit-code contract (all tools, documented once, here):
-//   0  success -- a clean lint/analyze run, or a completed simulation
+//   0  success -- a clean analyzer run, or a completed simulation
 //   1  findings remain, or the run completed but failed its own gate
 //   2  usage error (unknown flag, bad value) or an I/O failure
 //
