@@ -20,8 +20,10 @@
 //     stream stays bit-identical to the single-threaded
 //     StreamingClassifier reference across the flip.
 //
-// Prints a human table plus a JSON blob (checked in as BENCH_shard.json);
-// exits non-zero if the hot-swap gate fails or any request is dropped.
+// Prints a human table plus a JSON blob (checked in as BENCH_shard.json).
+// Exits 2 if the hot-swap gate fails or any request is dropped -- hard
+// failures on any machine -- and 1 if the 4-shard scaling gate misses on a
+// host with at least 4 hardware threads.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -260,7 +262,7 @@ int main() {
 
   if (!swap_ok) {
     std::fprintf(stderr, "bench_shard: hot-swap gate FAILED\n");
-    return 1;
+    return 2;
   }
   if (!scaling_ok) {
     // Scaling is machine-dependent (shards are independent OS threads);

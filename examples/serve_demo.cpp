@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   serve::ShardConfig config;
   config.max_batch = 8;
   config.queue_capacity = 128;
-  config.workers = 2;
   config.streaming.smoothing_alpha = 0.5;
   config.streaming.alert_streak = 2;
   serve::Server server(ensemble, config);

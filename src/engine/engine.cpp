@@ -6,7 +6,6 @@
 #include "obs/obs.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
-#include "util/stopwatch.hpp"
 
 namespace darnet::engine {
 
@@ -171,22 +170,6 @@ Tensor EnsembleClassifier::classify_batch_degraded(const Tensor& frames,
       Tensor::full({n, c_img}, 1.0f / static_cast<float>(c_img));
   DARNET_SPAN("engine/combine");
   return combiner_.combine(uniform, p_imu);
-}
-
-ClassifyResult EnsembleClassifier::classify(const ClassifyRequest& request,
-                                            SessionState& session,
-                                            const StreamingConfig& config) {
-  util::Stopwatch watch;
-  Tensor fused = classify_batch(request.frame, request.imu_window);
-  if (fused.dim(0) != 1) {
-    throw std::invalid_argument(
-        "EnsembleClassifier::classify: one sample per request");
-  }
-  ClassifyResult result;
-  result.verdict = advance(session, fused, config);
-  result.latency_us = static_cast<std::int64_t>(watch.seconds() * 1e6);
-  result.degraded = false;
-  return result;
 }
 
 std::vector<int> EnsembleClassifier::predict(const Tensor& frames,

@@ -155,12 +155,6 @@ class EnsembleClassifier {
     return imu_model_ != nullptr && combiner_.trained();
   }
 
-  /// Request/result surface: serve one request, advancing the caller's
-  /// session state (EWMA + debounce) with the fused distribution.
-  [[nodiscard]] ClassifyResult classify(const ClassifyRequest& request,
-                                        SessionState& session,
-                                        const StreamingConfig& config);
-
   [[nodiscard]] std::vector<int> predict(const Tensor& frames,
                                          const Tensor& imu_windows);
 

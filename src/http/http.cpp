@@ -85,8 +85,9 @@ void send_response(int fd, const Response& response) {
 
 /// Reads one request (head + Content-Length body) off `fd`. Returns
 /// false on transport error, oversize, or malformed head -- which
-/// includes a duplicate or non-digit Content-Length and any
-/// Transfer-Encoding (only Content-Length framing is spoken here).
+/// includes any header name given twice (compared case-insensitively), a
+/// non-digit Content-Length and any Transfer-Encoding (only
+/// Content-Length framing is spoken here).
 [[nodiscard]] bool read_request(int fd, std::size_t max_bytes,
                                 Request& request) {
   std::string buffer;
@@ -136,10 +137,9 @@ void send_response(int fd, const Response& response) {
       ++value_begin;
     }
     if (name == "transfer-encoding") return false;
-    if (name == "content-length" && request.headers.count(name) != 0) {
-      return false;
+    if (!request.headers.emplace(name, header.substr(value_begin)).second) {
+      return false;  // a repeated header would silently overwrite the first
     }
-    request.headers[name] = header.substr(value_begin);
   }
 
   std::size_t content_length = 0;

@@ -13,16 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-[[nodiscard]] std::vector<std::unique_ptr<Server>> build_shards(
-    Router::Snapshot& snapshot, const RouterConfig& config) {
-  if (config.shards < 1) {
-    throw std::invalid_argument("serve::Router: shards must be >= 1");
-  }
-  if (config.virtual_nodes < 1) {
-    throw std::invalid_argument(
-        "serve::Router: virtual_nodes must be >= 1");
-  }
-  if (snapshot.replicas.size() != static_cast<std::size_t>(config.shards)) {
+/// The rules every snapshot meets, at construction and at each hot-swap:
+/// one non-null replica per shard, no replica served by two shards.
+void check_snapshot(const Router::Snapshot& snapshot, std::size_t shards) {
+  if (snapshot.replicas.size() != shards) {
     throw std::invalid_argument(
         "serve::Router: snapshot must carry one replica per shard");
   }
@@ -33,14 +27,27 @@ using Clock = std::chrono::steady_clock;
     }
     for (std::size_t j = i + 1; j < snapshot.replicas.size(); ++j) {
       if (snapshot.replicas[i] == snapshot.replicas[j]) {
-        // Models keep forward caches; two shards batching into one
-        // replica concurrently would race (each shard only serialises
-        // on its *own* exec lock).
+        // Inference writes into the model (lazy weight packs, layer shape
+        // caches). Each shard runs one pass at a time on its one worker,
+        // but two shards sharing a replica would run passes into it
+        // concurrently.
         throw std::invalid_argument(
             "serve::Router: shards must not share an ensemble replica");
       }
     }
   }
+}
+
+[[nodiscard]] std::vector<std::unique_ptr<Server>> build_shards(
+    Router::Snapshot& snapshot, const RouterConfig& config) {
+  if (config.shards < 1) {
+    throw std::invalid_argument("serve::Router: shards must be >= 1");
+  }
+  if (config.virtual_nodes < 1) {
+    throw std::invalid_argument(
+        "serve::Router: virtual_nodes must be >= 1");
+  }
+  check_snapshot(snapshot, static_cast<std::size_t>(config.shards));
   for (const auto& [tenant, quota] : config.quotas) {
     (void)tenant;
     if (quota.capacity < 1.0 || quota.refill_per_s < 0.0) {
@@ -175,17 +182,7 @@ Server::Submission Router::submit(engine::ClassifyRequest request) {
 }
 
 void Router::swap_snapshot(Snapshot next) {
-  if (next.replicas.size() != shards_.size()) {
-    throw std::invalid_argument(
-        "serve::Router::swap_snapshot: snapshot must carry one replica "
-        "per shard");
-  }
-  for (const auto& replica : next.replicas) {
-    if (!replica) {
-      throw std::invalid_argument(
-          "serve::Router::swap_snapshot: replica must not be null");
-    }
-  }
+  check_snapshot(next, shards_.size());
   sync::Lock lock(mu_);
   if (next.version <= version_) {
     throw std::invalid_argument(

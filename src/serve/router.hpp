@@ -13,14 +13,15 @@
 // else's queued work.
 //
 // Model rollout is a versioned Snapshot: one EnsembleClassifier replica
-// per shard (replicas are NOT shared across shards -- the underlying
-// models keep forward caches, and each shard serialises batches on its
-// own exec lock). swap_snapshot() hot-swaps all shards RCU-style: each
-// shard's served-ensemble shared_ptr is flipped under its admission
-// lock while workers run batches on the replica they snapshotted at
-// batch formation. No request is dropped, no worker stalls, and
-// sessions untouched by the weight change see bit-identical verdict
-// streams across the swap.
+// per shard. Replicas are NOT shared across shards: inference writes into
+// the model (lazy weight packs, layer shape caches), and while each shard
+// runs one pass at a time on its one batching worker, two shards would run
+// passes into a shared replica concurrently. swap_snapshot() hot-swaps all
+// shards RCU-style: each shard's served-ensemble shared_ptr is flipped
+// under its admission lock while its worker runs the current batch on the
+// replica it snapshotted at batch formation. No request is dropped, no
+// worker stalls, and sessions untouched by the weight change see
+// bit-identical verdict streams across the swap.
 //
 // Lock hierarchy: the router's "route/state" mutex ranks *before* the
 // per-shard "serve/*" family (DESIGN.md "Lock hierarchy") -- it is held
@@ -104,8 +105,9 @@ class Router {
   [[nodiscard]] int shard_for(std::uint64_t session_id) const noexcept;
 
   /// Hot-swap to `next` (see file comment). next.version must be
-  /// strictly greater than the current version and next.replicas must
-  /// match the shard count; throws std::invalid_argument otherwise.
+  /// strictly greater than the current version, and next.replicas must
+  /// meet the constructor's rules (one non-null, distinct replica per
+  /// shard); throws std::invalid_argument otherwise, serving on unchanged.
   void swap_snapshot(Snapshot next);
 
   /// Version of the snapshot currently being served.

@@ -66,9 +66,6 @@ Server::Server(std::shared_ptr<engine::EnsembleClassifier> ensemble,
   if (config_.queue_capacity < 1) {
     throw std::invalid_argument("serve::Server: queue_capacity must be >= 1");
   }
-  if (config_.workers < 1) {
-    throw std::invalid_argument("serve::Server: workers must be >= 1");
-  }
   if (config_.degrade_low_watermark > config_.degrade_high_watermark) {
     throw std::invalid_argument(
         "serve::Server: degrade_low_watermark must be <= "
@@ -76,10 +73,7 @@ Server::Server(std::shared_ptr<engine::EnsembleClassifier> ensemble,
   }
   engine::validate(config_.streaming, "serve::Server");
 
-  workers_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  worker_ = parallel::ServiceThread([this] { worker_loop(); });
 }
 
 Server::~Server() { drain(); }
@@ -149,7 +143,7 @@ Server::Submission Server::submit(engine::ClassifyRequest request) {
 }
 
 void Server::worker_loop() {
-  // Per-worker scratch arena: all tensor traffic on this thread (batch
+  // The shard's scratch arena: all tensor traffic on this thread (batch
   // stacking, model activations, fused outputs) cycles through it, so
   // steady-state batches stop hitting the heap. Result rows that escape to
   // client threads via promises degrade to plain heap frees -- safe, the
@@ -158,14 +152,12 @@ void Server::worker_loop() {
   tensor::ArenaScope scope(arena);
   for (;;) {
     std::vector<Pending> batch;
-    std::uint64_t ticket = 0;
     bool degraded = false;
-    bool more = false;
     std::shared_ptr<engine::EnsembleClassifier> ensemble;
     {
       sync::UniqueLock lock(mu_);
       // Batch-formation policy: take up to `max_batch` of whatever is
-      // queued the moment this worker is free. Rows gather only while a
+      // queued the moment the worker is free. Rows gather only while a
       // pass runs; a lone request is never held back to wait for others.
       work_cv_.wait(lock, [&] { return draining_ || !queue_.empty(); });
       if (queue_.empty()) return;  // draining, and everything is flushed
@@ -188,8 +180,6 @@ void Server::worker_loop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      ticket = next_ticket_++;
-      more = !queue_.empty();
       // RCU read side: snapshot the served replica under mu_; the whole
       // batch (gather, fused pass, scatter) runs on this snapshot even if
       // swap_ensemble() flips the pointer mid-flight.
@@ -197,15 +187,14 @@ void Server::worker_loop() {
       DARNET_GAUGE_SET("serve/queue_depth",
                        static_cast<std::int64_t>(queue_.size()));
     }
-    if (more) work_cv_.notify_one();
 
-    execute_batch(std::move(batch), ticket,
-                  degraded && ensemble->can_degrade(), ensemble);
+    execute_batch(std::move(batch), degraded && ensemble->can_degrade(),
+                  ensemble);
   }
 }
 
 void Server::execute_batch(
-    std::vector<Pending> batch, std::uint64_t ticket, bool degraded,
+    std::vector<Pending> batch, bool degraded,
     const std::shared_ptr<engine::EnsembleClassifier>& ensemble) {
   DARNET_SPAN("serve/execute_batch");
 
@@ -230,8 +219,8 @@ void Server::execute_batch(
     complete(pending, std::move(response));
   }
 
-  // Gather + fused pass. exec_mu_ serialises entry into the ensemble: the
-  // underlying models keep forward caches, so at most one batch at a time.
+  // Gather + fused pass. The worker runs one batch at a time, and no other
+  // shard holds this replica (Router), so nothing else is inside the model.
   Tensor fused;
   std::exception_ptr error;
   if (!live.empty()) {
@@ -247,7 +236,6 @@ void Server::execute_batch(
       }
       const Tensor frame_batch = tensor::stack_rows(frames);
       const Tensor imu_batch = want_imu ? tensor::stack_rows(imu) : Tensor{};
-      sync::Lock exec(exec_mu_);
       DARNET_TIMER("serve/batch_execute_ns");
       fused = degraded
                   ? ensemble->classify_batch_degraded(frame_batch, imu_batch)
@@ -257,41 +245,34 @@ void Server::execute_batch(
     }
   }
 
-  // Ticket-ordered scatter: session state advances strictly in batch
-  // admission order, which is what makes served verdict sequences
-  // bit-identical to the single-threaded reference for any worker count.
-  // This block runs for every ticket (even all-expired or failed batches)
-  // so the ordering chain never stalls.
-  {
-    sync::UniqueLock lock(apply_mu_);
-    apply_cv_.wait(lock, [&] { return next_apply_ == ticket; });
-    if (!live.empty() && !error) {
-      DARNET_SPAN("serve/scatter_rows");
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        Pending& pending = live[i];
-        try {
-          const Tensor row = tensor::take_row(fused, static_cast<int>(i));
-          engine::SessionState& state =
-              sessions_[pending.request.session_id];
-          Response response;
-          response.status = Status::kOk;
-          response.result.degraded = degraded;
-          response.result.verdict =
-              engine::advance(state, row, config_.streaming);
-          const auto done_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  clock_now() - pending.enqueued)
-                  .count();
-          response.result.latency_us = done_ns / 1000;
-          DARNET_HISTOGRAM_NS("serve/request_latency_ns", done_ns);
-          complete(pending, std::move(response));
-        } catch (...) {
-          pending.promise.set_exception(std::current_exception());
-        }
+  // Scatter in formation order: the one worker scatters each batch before
+  // it forms the next, so session state advances in admission order, which
+  // is what makes served verdict sequences bit-identical to the
+  // single-threaded reference.
+  if (!live.empty() && !error) {
+    sync::Lock lock(apply_mu_);
+    DARNET_SPAN("serve/scatter_rows");
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      Pending& pending = live[i];
+      try {
+        const Tensor row = tensor::take_row(fused, static_cast<int>(i));
+        engine::SessionState& state = sessions_[pending.request.session_id];
+        Response response;
+        response.status = Status::kOk;
+        response.result.degraded = degraded;
+        response.result.verdict =
+            engine::advance(state, row, config_.streaming);
+        const auto done_ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                clock_now() - pending.enqueued)
+                .count();
+        response.result.latency_us = done_ns / 1000;
+        DARNET_HISTOGRAM_NS("serve/request_latency_ns", done_ns);
+        complete(pending, std::move(response));
+      } catch (...) {
+        pending.promise.set_exception(std::current_exception());
       }
     }
-    ++next_apply_;
-    apply_cv_.notify_all();
   }
   if (error) {
     for (auto& pending : live) {
@@ -330,21 +311,19 @@ void Server::complete(Pending& pending, Response response) {
 }
 
 void Server::drain() {
-  // Claim the workers under mu_, then join with no lock held: joins (and
-  // the notify that precedes them) must never run under the admission
-  // lock, and the swap makes concurrent drain() calls race-free -- only
-  // one caller gets the threads, later callers see an empty vector.
-  std::vector<parallel::ServiceThread> workers;
+  // Claim the worker under mu_, then join with no lock held: the join (and
+  // the notify that precedes it) must never run under the admission lock,
+  // and the move makes concurrent drain() calls race-free -- only one
+  // caller gets the thread, later callers get an empty handle.
+  parallel::ServiceThread worker;
   {
     sync::Lock lock(mu_);
     draining_ = true;
-    workers.swap(workers_);
+    worker = std::move(worker_);
   }
   DARNET_ASSERT_NOT_HELD(mu_);
   work_cv_.notify_all();
-  for (auto& worker : workers) {
-    worker.join();  // workers flush the queue before exiting
-  }
+  worker.join();  // the worker flushes the queue before exiting
   DARNET_CHECK_MSG(queue_depth() == 0,
                    "serve::Server::drain: queue not empty after join");
 }
@@ -365,13 +344,10 @@ bool Server::degraded_mode() const {
 }
 
 void Server::force_degraded(std::optional<bool> forced) {
-  {
-    sync::Lock lock(mu_);
-    forced_degraded_ = forced;
-  }
-  // Wake any worker parked on batch formation so the new mode applies to
-  // the next batch it cuts.
-  work_cv_.notify_all();
+  // Read when the worker cuts its next batch; a parked worker waits for
+  // work, not for the mode, so there is nothing to wake.
+  sync::Lock lock(mu_);
+  forced_degraded_ = forced;
 }
 
 std::shared_ptr<engine::EnsembleClassifier> Server::swap_ensemble(

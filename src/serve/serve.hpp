@@ -17,24 +17,25 @@
 //     Status::kShed) or Admit::kRejected (queue full with shedding
 //     disabled, or server draining). Every future is always completed --
 //     admission verdicts, timeouts, shed and drain all resolve it.
-//   * Micro-batching: a worker ServiceThread (src/parallel) that is free
-//     takes up to `max_batch` queued requests at once, so rows gather only
-//     while a pass runs and a lone request never waits for company. The
-//     fused pass itself runs on the process-wide parallel::ThreadPool via
-//     the engine's batched entry points.
+//   * Micro-batching: the shard's one worker ServiceThread (src/parallel)
+//     takes up to `max_batch` queued requests whenever it is free, so rows
+//     gather only while a pass runs and a lone request never waits for
+//     company. The fused pass itself runs on the process-wide
+//     parallel::ThreadPool via the engine's batched entry points; shards
+//     (serve::Router) are the other axis of parallelism.
 //   * Robustness: per-request absolute deadlines (expired requests get
 //     Status::kTimeout without inference), graceful drain() on shutdown
-//     (stops admission, flushes the queue, joins workers, leaves no
+//     (stops admission, flushes the queue, joins the worker, leaves no
 //     pending futures), and a degraded mode with watermark hysteresis:
 //     when queue depth reaches `degrade_high_watermark` batches switch to
 //     the cheap single-modality path (EnsembleClassifier::
 //     classify_batch_degraded) until depth falls back to
 //     `degrade_low_watermark`.
-//   * Determinism: batches are formed FIFO under one lock and their
-//     session updates are applied in batch-ticket order, so each
+//   * Determinism: batches are formed FIFO under one lock, and the one
+//     worker scatters each batch before it forms the next, so each
 //     session's verdict sequence equals StreamingClassifier fed the same
 //     per-session inputs in the same order, regardless of batch
-//     boundaries or worker count.
+//     boundaries.
 //
 // Everything is instrumented with serve/* metrics and spans per the
 // docs/OBSERVABILITY.md contract.
@@ -80,7 +81,7 @@ enum class Status {
 /// deadlines and the server's time math agree (a hidden wall-clock read
 /// would make simulated deadline behaviour nondeterministic -- see
 /// docs/SIMULATION.md "Determinism contract"). Implementations must be
-/// thread-safe: workers and submitters read concurrently.
+/// thread-safe: the worker and submitters read concurrently.
 class TimeSource {
  public:
   virtual ~TimeSource() = default;
@@ -114,10 +115,6 @@ struct ShardConfig {
   /// Queue depth at or below which degraded mode disengages (hysteresis;
   /// must be <= degrade_high_watermark).
   std::size_t degrade_low_watermark = 0;
-  /// Batching worker threads. One is usually right: the fused pass is
-  /// serialized on the model anyway and fans out across the process-wide
-  /// ThreadPool; extra workers only overlap gather/scatter with inference.
-  int workers = 1;
   /// Per-session smoothing + debounce parameters.
   engine::StreamingConfig streaming;
   /// Clock for deadline triage and latency accounting. Null (the default)
@@ -127,7 +124,7 @@ struct ShardConfig {
 };
 
 /// The micro-batching inference server. Thread-safe: submit() may be
-/// called from any number of threads concurrently with the workers.
+/// called from any number of threads concurrently with the worker.
 class Server {
  public:
   /// Result of one submit(): the synchronous admission verdict plus the
@@ -150,7 +147,7 @@ class Server {
 
   [[nodiscard]] Submission submit(engine::ClassifyRequest request);
 
-  /// Stop admitting, flush every queued request, join the workers. After
+  /// Stop admitting, flush every queued request, join the worker. After
   /// drain() returns, no future is pending and every subsequent submit()
   /// returns Admit::kRejected (its future resolves to Status::kRejected).
   /// Idempotent.
@@ -158,9 +155,9 @@ class Server {
 
   /// RCU-style hot swap: atomically replace the served ensemble with
   /// `next` (same architecture, presumably freshly-trained weights) and
-  /// return the replica it replaced. In-flight batches finish on the
-  /// replica they snapshotted at batch formation -- the flip drops no
-  /// request and stalls no worker -- and per-session streaming state
+  /// return the replica it replaced. An in-flight batch finishes on the
+  /// replica it snapshotted at batch formation -- the flip drops no
+  /// request and never stalls the worker -- and per-session streaming state
   /// (EWMA + debounce) is untouched, so sessions whose weights did not
   /// change see bit-identical verdict streams across the swap.
   std::shared_ptr<engine::EnsembleClassifier> swap_ensemble(
@@ -208,8 +205,7 @@ class Server {
   };
 
   void worker_loop();
-  void execute_batch(std::vector<Pending> batch, std::uint64_t ticket,
-                     bool degraded,
+  void execute_batch(std::vector<Pending> batch, bool degraded,
                      const std::shared_ptr<engine::EnsembleClassifier>&
                          ensemble);
   // Resolves a request's promise. REQUIRES: mu_ free (promise
@@ -221,9 +217,9 @@ class Server {
 
   const ShardConfig config_;
 
-  // Lock hierarchy (DESIGN.md "Concurrency model"): mu_ -> exec_mu_ ->
-  // apply_mu_. No method currently nests two of them, but the order graph
-  // enforces the documented direction the moment anyone does.
+  // Lock hierarchy (DESIGN.md "Concurrency model"): mu_ -> apply_mu_. No
+  // method currently nests them, but the order graph enforces the
+  // documented direction the moment anyone does.
 
   // Admission + batch formation. deque is the FIFO; capacity is enforced
   // at every push (see the serve-bounded-queue analyzer rule).
@@ -235,31 +231,24 @@ class Server {
   // Operator override (force_degraded). The hysteresis keeps tracking
   // queue depth underneath so releasing the override is seamless.
   std::optional<bool> forced_degraded_ DARNET_GUARDED_BY(mu_);
-  std::uint64_t next_ticket_ DARNET_GUARDED_BY(mu_){0};
   Stats stats_ DARNET_GUARDED_BY(mu_);
-  // The served ensemble, RCU-style: workers snapshot the shared_ptr at
-  // batch formation (under mu_) and run the whole batch on that replica;
+  // The served ensemble, RCU-style: the worker snapshots the shared_ptr at
+  // batch formation (under mu_) and runs the whole batch on that replica;
   // swap_ensemble() flips the pointer under the same lock. An in-flight
   // batch keeps its replica alive through its own reference, so a swap
   // never stalls on or disturbs running inference.
   std::shared_ptr<engine::EnsembleClassifier> ensemble_
       DARNET_GUARDED_BY(mu_);
 
-  // Serialises fused passes: the underlying models keep forward caches,
-  // so at most one batch may be inside the ensemble at a time.
-  sync::Mutex exec_mu_{"serve/exec"};
-
-  // Session scatter, applied strictly in ticket order so per-session
-  // state advances in admission order with any worker count.
+  // Per-session streaming state. Only the worker writes it; the lock
+  // guards it against session() peeks from other threads.
   mutable sync::Mutex apply_mu_{"serve/apply"};
-  sync::CondVar apply_cv_;
-  std::uint64_t next_apply_ DARNET_GUARDED_BY(apply_mu_){0};
   std::unordered_map<std::uint64_t, engine::SessionState> sessions_
       DARNET_GUARDED_BY(apply_mu_);
 
-  // Swapped out under mu_ by the first drain() and joined lock-free, so
+  // Moved out under mu_ by the first drain() and joined lock-free, so
   // concurrent drains are safe and no lock is held across a join.
-  std::vector<parallel::ServiceThread> workers_ DARNET_GUARDED_BY(mu_);
+  parallel::ServiceThread worker_ DARNET_GUARDED_BY(mu_);
 };
 
 }  // namespace darnet::serve

@@ -145,7 +145,6 @@ FleetSimulator::FleetSimulator(ScenarioConfig config)
   router_config.shards = config_.shards;
   router_config.shard.max_batch = 8;
   router_config.shard.queue_capacity = 64;
-  router_config.shard.workers = 1;
   // The router lives and dies inside this object: sim_ (declared before
   // router_) outlives it, so the raw back-pointer in VirtualTimeSource is
   // safe. Quota buckets refill from the same simulated clock.

@@ -329,9 +329,9 @@ TEST(AnalyzeConsistency, RuntimeLockOrderAgreesWithStaticGraph) {
   // (where parallel_for degenerates to the serial path).
   {
     static dsync::Mutex admission{"serve/admission"};
-    static dsync::Mutex exec{"serve/exec"};
+    static dsync::Mutex apply{"serve/apply"};
     dsync::Lock a(admission);
-    dsync::Lock e(exec);
+    dsync::Lock b(apply);
   }
   // Real workload: drives the pool's submit -> pool / region-error edges
   // when workers are available.

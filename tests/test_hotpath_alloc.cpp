@@ -130,7 +130,7 @@ TEST(HotPathAlloc, ClassifyBatchIsZeroAllocAfterWarmup) {
   GTEST_SKIP() << "checked builds allocate in diagnostics by design";
 #endif
   // Single-thread execution keeps the measurement exact (the pool's
-  // inline path); the serve tier gives each worker its own arena, so one
+  // inline path); each serve shard's worker has its own arena, so one
   // thread's steady state is every thread's steady state.
   const int entry_threads = darnet::parallel::thread_count();
   darnet::parallel::set_thread_count(1);

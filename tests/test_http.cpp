@@ -166,9 +166,9 @@ TEST(HttpServer, MalformedBytesEarnA400) {
   EXPECT_NE(eof.read_all().find("400"), std::string::npos);
   eof.close();
 
-  // Framing: Content-Length is one run of ASCII digits, given once, and
-  // chunked framing is not spoken. Each request carries a complete body,
-  // so a lenient parser would answer 200.
+  // Framing: Content-Length is one run of ASCII digits, no header is given
+  // twice, and chunked framing is not spoken. Each request carries a
+  // complete body, so a lenient parser would answer 200.
   const std::string head = "POST /x HTTP/1.1\r\n";
   const std::string framing[] = {
       head + "Content-Length: +5\r\n\r\nhello",
@@ -180,6 +180,7 @@ TEST(HttpServer, MalformedBytesEarnA400) {
       head + "Content-Length: 99999999999999999999999\r\n\r\nhello",
       head + "Content-Length: \r\n\r\nhello",
       head + "Content-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+      head + "Host: a\r\nhost: b\r\nContent-Length: 5\r\n\r\nhello",
       head + "Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
   };
   for (const std::string& bytes : framing) {

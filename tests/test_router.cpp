@@ -79,8 +79,8 @@ TEST(RouterConfig, ValidatesSnapshotAndQuotas) {
   EXPECT_THROW(serve::Router(std::move(null_replica), config),
                std::invalid_argument);
 
-  // Shards must not share a replica: models keep forward caches and
-  // only serialise on their own shard's exec lock.
+  // Shards must not share a replica: inference writes into the model, and
+  // two shards' workers would run passes into it concurrently.
   serve::Router::Snapshot shared = make_snapshot(2, 1);
   shared.replicas[1] = shared.replicas[0];
   EXPECT_THROW(serve::Router(std::move(shared), config),
@@ -239,15 +239,23 @@ TEST(RouterSwap, HotSwapDropsNothingAndKeepsVerdictsBitIdentical) {
 
 TEST(RouterSwap, VersionMustIncreaseMonotonically) {
   serve::RouterConfig config;
-  serve::Router router(make_snapshot(1, 5), config);
+  config.shards = 2;
+  serve::Router router(make_snapshot(2, 5), config);
   EXPECT_EQ(router.snapshot_version(), 5u);
-  EXPECT_THROW(router.swap_snapshot(make_snapshot(1, 5)),
+  EXPECT_THROW(router.swap_snapshot(make_snapshot(2, 5)),
                std::invalid_argument);  // stale rollout
-  EXPECT_THROW(router.swap_snapshot(make_snapshot(1, 4)),
+  EXPECT_THROW(router.swap_snapshot(make_snapshot(2, 4)),
                std::invalid_argument);
-  EXPECT_THROW(router.swap_snapshot(make_snapshot(2, 6)),
+  EXPECT_THROW(router.swap_snapshot(make_snapshot(3, 6)),
                std::invalid_argument);  // wrong replica count
-  router.swap_snapshot(make_snapshot(1, 6));
+  // A rollout meets the constructor's snapshot rules: one replica handed
+  // to two shards is refused, and the old snapshot keeps serving.
+  serve::Router::Snapshot shared = make_snapshot(2, 6);
+  shared.replicas[1] = shared.replicas[0];
+  EXPECT_THROW(router.swap_snapshot(std::move(shared)),
+               std::invalid_argument);
+  EXPECT_EQ(router.snapshot_version(), 5u);
+  router.swap_snapshot(make_snapshot(2, 6));
   EXPECT_EQ(router.snapshot_version(), 6u);
   EXPECT_EQ(router.stats().snapshot_swaps, 1u);
   router.drain();

@@ -5,7 +5,8 @@
 //
 // Note: std::thread is banned outside src/parallel (darnet_analyze's
 // thread-outside-parallel rule), so concurrency here is exercised through the
-// Server's own workers, gated by condition variables inside stub models.
+// Server's own batching worker, gated by condition variables inside stub
+// models.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -122,9 +123,6 @@ TEST(ServeConfig, Validation) {
   config.queue_capacity = 0;
   EXPECT_THROW(serve::Server(ensemble, config), std::invalid_argument);
   config = {};
-  config.workers = 0;
-  EXPECT_THROW(serve::Server(ensemble, config), std::invalid_argument);
-  config = {};
   config.degrade_high_watermark = 2;
   config.degrade_low_watermark = 3;
   EXPECT_THROW(serve::Server(ensemble, config), std::invalid_argument);
@@ -143,9 +141,9 @@ TEST(ServeNames, Stable) {
   EXPECT_STREQ(serve::status_name(serve::Status::kRejected), "rejected");
 }
 
-// The golden test: many interleaved sessions, batched across multiple
-// workers, must produce verdict streams bit-for-bit identical to a
-// single-threaded StreamingClassifier fed the same per-session inputs in
+// The golden test: many interleaved sessions, coalesced into batches by
+// the shard's worker, must produce verdict streams bit-for-bit identical to
+// a single-threaded StreamingClassifier fed the same per-session inputs in
 // the same order -- batch boundaries and scheduling must not leak into
 // results.
 TEST(ServeDeterminism, BitIdenticalToStreamingReference) {
@@ -177,11 +175,10 @@ TEST(ServeDeterminism, BitIdenticalToStreamingReference) {
 
   // Served: submit the same inputs riffle-interleaved across sessions
   // (per-session order preserved -- the determinism contract's domain),
-  // with batching and two workers.
+  // with batching.
   serve::ShardConfig config;
   config.max_batch = 4;
   config.queue_capacity = 256;
-  config.workers = 2;
   config.streaming = streaming;
   serve::Server server(ensemble, config);
 
@@ -233,7 +230,7 @@ TEST(ServeDeterminism, BitIdenticalToStreamingReference) {
   EXPECT_EQ(stats.shed + stats.rejected + stats.timeouts, 0u);
 }
 
-// Batch formation takes whatever is queued the moment a worker is free: a
+// Batch formation takes whatever is queued the moment the worker is free: a
 // lone request enters the model alone, and requests that arrive while a
 // pass runs become the next batch, cut at max_batch.
 TEST(ServeBatching, RowsGatherOnlyWhileAPassRuns) {
@@ -413,7 +410,6 @@ TEST(ServeDeterminism, NullTimeSourceMatchesExplicitWallClock) {
   const auto run = [&](std::shared_ptr<serve::TimeSource> source) {
     serve::ShardConfig config;
     config.max_batch = 4;
-    config.workers = 2;
     config.time_source = std::move(source);
     serve::Server server(ensemble, config);
     std::vector<std::vector<std::future<serve::Response>>> futures(kSessions);

@@ -263,7 +263,6 @@ TEST(SyncParity, ServedPipelineBitIdenticalAcrossBuildModes) {
   // provably never changes what the code under it computes.
   serve::ShardConfig config;
   config.max_batch = 4;
-  config.workers = 1;
   serve::Server server(make_dense_ensemble(), config);
 
   util::Rng rng(7);

@@ -26,7 +26,7 @@ bool under_any(const std::string& file, const std::vector<std::string>& prefixes
 const std::map<std::string, int>& hierarchy_ranks() {
   static const std::map<std::string, int> ranks = {
       {"route/state", -1},  // held across per-shard snapshot flips
-      {"serve/admission", 0}, {"serve/exec", 1}, {"serve/apply", 2},
+      {"serve/admission", 0}, {"serve/apply", 1},
       {"parallel/pool_submit", 10}, {"parallel/pool", 11},
   };
   return ranks;
