@@ -6,12 +6,12 @@
 //     across kSessions as fast as admission allows -- wall-clocked from
 //     first submit to drain at 1, 2 and 4 shards. Aggregate
 //     requests/second per shard count plus the speedup vs 1 shard. The
-//     shards are genuinely independent servers (own worker, own queue,
-//     own replica), so on a machine with >= 4 free cores the 4-shard
-//     curve should clear kScalingGate (3.5x); on the shared single-vCPU
-//     CI box the measurement records what overlap the scheduler actually
-//     grants, and the JSON carries the core count so the number can be
-//     read in context rather than lied about.
+//     shards are independent servers (own worker, own queue) sharing one
+//     ensemble that inference never writes, so on a machine with >= 4
+//     free cores the 4-shard curve should clear kScalingGate (3.5x); on
+//     the shared single-vCPU CI box the measurement records what overlap
+//     the scheduler actually grants, and the JSON carries the core count
+//     so the number can be read in context rather than lied about.
 //  2. Hot-swap gate (hard acceptance, any machine): mid-traffic
 //     swap_snapshot to same-architecture replicas on 4 shards must lose
 //     nothing -- every request resolves kOk (zero dropped), every
@@ -67,13 +67,11 @@ std::shared_ptr<engine::EnsembleClassifier> make_ensemble() {
       frames, nullptr, bayes::ClassMap::darnet_default());
 }
 
+/// Every shard serves one ensemble: inference writes nothing into it.
 serve::Router::Snapshot make_snapshot(int shards, std::uint64_t version) {
   serve::Router::Snapshot snapshot;
   snapshot.version = version;
-  for (int s = 0; s < shards; ++s) {
-    // Same seed: bit-identical weights, distinct objects per shard.
-    snapshot.replicas.push_back(make_ensemble());
-  }
+  snapshot.replicas.assign(static_cast<std::size_t>(shards), make_ensemble());
   return snapshot;
 }
 

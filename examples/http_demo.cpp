@@ -39,12 +39,11 @@ std::shared_ptr<engine::EnsembleClassifier> make_ensemble() {
       frames, nullptr, bayes::ClassMap::darnet_default());
 }
 
+/// Every shard serves one ensemble: inference writes nothing into it.
 serve::Router::Snapshot make_snapshot(int shards, std::uint64_t version) {
   serve::Router::Snapshot snapshot;
   snapshot.version = version;
-  for (int s = 0; s < shards; ++s) {
-    snapshot.replicas.push_back(make_ensemble());
-  }
+  snapshot.replicas.assign(static_cast<std::size_t>(shards), make_ensemble());
   return snapshot;
 }
 

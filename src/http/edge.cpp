@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -29,14 +28,29 @@ using tensor::Tensor;
   return pos + 1;
 }
 
+/// Advances past JSON whitespace.
+[[nodiscard]] const char* skip_space(const char* cursor, const char* end) {
+  while (cursor < end && (*cursor == ' ' || *cursor == '\t' ||
+                          *cursor == '\n' || *cursor == '\r')) {
+    ++cursor;
+  }
+  return cursor;
+}
+
+/// Parses the unsigned decimal integer after `key`: digits only (no sign,
+/// fraction or exponent), JSON whitespace around them, then `,` or `}`.
+/// Returns false on absent key, malformed number or out-of-range value.
 [[nodiscard]] bool parse_u64(const std::string& body, const std::string& key,
                              std::uint64_t& out) {
   const std::size_t pos = value_offset(body, key);
   if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(body.c_str() + pos, &end, 10);
-  if (end == body.c_str() + pos || errno == ERANGE) return false;
+  const char* const end = body.data() + body.size();
+  std::uint64_t value = 0;
+  const auto [next, ec] =
+      std::from_chars(skip_space(body.data() + pos, end), end, value);
+  if (ec != std::errc{}) return false;
+  const char* cursor = skip_space(next, end);
+  if (cursor == end || (*cursor != ',' && *cursor != '}')) return false;
   out = value;
   return true;
 }
@@ -54,14 +68,8 @@ using tensor::Tensor;
   if (pos == std::string::npos) return false;
   const char* cursor = body.data() + pos;
   const char* const end = body.data() + body.size();
-  const auto skip_space = [&] {
-    while (cursor < end && (*cursor == ' ' || *cursor == '\t' ||
-                            *cursor == '\n' || *cursor == '\r')) {
-      ++cursor;
-    }
-  };
   const auto expect = [&](char c) {
-    skip_space();
+    cursor = skip_space(cursor, end);
     if (cursor == end || *cursor != c) return false;
     ++cursor;
     return true;
@@ -71,7 +79,7 @@ using tensor::Tensor;
   Tensor parsed(shape);
   for (std::size_t i = 0; i < parsed.numel(); ++i) {
     if (i > 0 && !expect(',')) return false;
-    skip_space();
+    cursor = skip_space(cursor, end);
     float value = 0.0f;
     const auto [next, ec] = std::from_chars(cursor, end, value);
     if (ec != std::errc{} || !std::isfinite(value)) return false;
@@ -127,7 +135,11 @@ Response Edge::handle_classify(const Request& request) {
   if (!parse_u64(request.body, "session", classify.session_id)) {
     return json_error(400, "missing or malformed session");
   }
-  (void)parse_u64(request.body, "tenant", classify.tenant_id);
+  // An absent tenant is the anonymous tenant 0; a malformed one is not.
+  if (value_offset(request.body, "tenant") != std::string::npos &&
+      !parse_u64(request.body, "tenant", classify.tenant_id)) {
+    return json_error(400, "malformed tenant");
+  }
   if (!parse_tensor(request.body, "frame", config_.frame_shape,
                     classify.frame)) {
     return json_error(400, "frame must be a flat array matching the "

@@ -8,8 +8,11 @@
 //                    `frame`/`imu` are flat row-major float arrays whose
 //                    lengths must match the configured tensor shapes;
 //                    `tenant` and `imu` are optional (default tenant 0 /
-//                    zero window). Shed/rejected/timeout requests map to
-//                    HTTP 503 with "status" naming the verdict.
+//                    zero window). `session` and `tenant` are unsigned
+//                    decimal integers: a sign, fraction, exponent or
+//                    trailing byte is a 400. A quota rejection maps to
+//                    HTTP 429 and shed/timeout to 503, with "status"
+//                    naming the verdict.
 //   GET  /metrics    -> 200, the process-wide obs registry as JSON
 //                    (docs/OBSERVABILITY.md names every row).
 //   GET  /healthz    -> 200 {"status":"ok","shards":N,"version":V}

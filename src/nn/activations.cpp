@@ -91,7 +91,6 @@ Dropout::Dropout(double drop_probability, std::uint64_t seed)
 }
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
-  last_training_ = training;
   if (!training || p_ == 0.0) return input;
   mask_ = Tensor(input.shape());
   Tensor out(input.shape());
@@ -108,7 +107,6 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::forward_moved(Tensor&& input, bool training) {
-  last_training_ = training;
   if (!training || p_ == 0.0) return std::move(input);
   mask_ = Tensor(input.shape());
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
@@ -123,7 +121,7 @@ Tensor Dropout::forward_moved(Tensor&& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!last_training_ || p_ == 0.0) return grad_output;
+  if (mask_.empty()) return grad_output;  // no mask drawn: identity
   if (!grad_output.same_shape(mask_)) {
     throw std::logic_error("Dropout::backward: shape mismatch with forward");
   }

@@ -56,8 +56,7 @@ class Dropout final : public Layer {
  private:
   double p_;
   util::Rng rng_;
-  Tensor mask_;
-  bool last_training_{false};
+  Tensor mask_;  // drawn by training forwards only
 };
 
 }  // namespace darnet::nn

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "check/check.hpp"
-#include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/kernels.hpp"
@@ -185,16 +184,6 @@ void Conv2D::forward_image_direct(const float* x, int h, int w, int oh,
   }
 }
 
-void Conv2D::ensure_packed() const {
-  if (packed_for_ == weight_.version) return;
-  const int patch = in_ch_ * k_ * k_;
-  packed_w_.resize_uninit(static_cast<std::size_t>(out_ch_) * patch);
-  kernels::pack_rows_mr4(weight_.value.data(), out_ch_, patch,
-                         packed_w_.data());
-  packed_for_ = weight_.version;
-  DARNET_COUNTER_ADD("engine/pack_total", 1);
-}
-
 Tensor Conv2D::run_forward(const Tensor& input) const {
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const int oh = h + 2 * pad_ - k_ + 1;
@@ -226,7 +215,14 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   // rows). Rows narrower than one vector stay on the GEMM path too.
   const bool vecdirect =
       kv != nullptr && !unit && ow >= kv->conv_min_ow;
-  if (kv != nullptr && gemm && !vecdirect) ensure_packed();
+  // The packed-GEMM path packs W into the caller's scratch on every call,
+  // so inference writes nothing into the layer (the scalar golden reads
+  // weight_.value directly and never packs).
+  tensor::Storage packed;
+  if (kv != nullptr && gemm && !vecdirect) {
+    packed.resize_uninit(static_cast<std::size_t>(out_ch_) * patch);
+    kernels::pack_rows_mr4(wts, out_ch_, patch, packed.data());
+  }
   const int ph = h + 2 * pad_, pw = w + 2 * pad_;
 
   if (vecdirect && n == 1) {
@@ -268,7 +264,7 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
       parallel::parallel_for(
           0, panels, image_grain(4 * row_flops),
           [&](std::int64_t p0, std::int64_t p1) {
-            kv->gemm_bias_packed(packed_w_.data(), bias, bmat, o,
+            kv->gemm_bias_packed(packed.data(), bias, bmat, o,
                                  static_cast<int>(4 * p0),
                                  std::min(out_ch_, static_cast<int>(4 * p1)),
                                  out_ch_, patch, static_cast<int>(pixels));
@@ -326,7 +322,7 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
               bmat = col.data();
             }
             if (kv != nullptr) {
-              kv->gemm_bias_packed(packed_w_.data(), bias, bmat, y, 0,
+              kv->gemm_bias_packed(packed.data(), bias, bmat, y, 0,
                                    out_ch_, out_ch_, patch,
                                    static_cast<int>(pixels));
             } else {

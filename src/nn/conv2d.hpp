@@ -12,10 +12,7 @@
 // fixed (ascending image) order. See DESIGN.md "Threading model".
 #pragma once
 
-#include <cstdint>
-
 #include "nn/layer.hpp"
-#include "tensor/arena.hpp"
 
 namespace darnet::nn {
 
@@ -45,12 +42,6 @@ class Conv2D final : public Layer {
   void validate_input(const Tensor& input) const;
   Tensor run_forward(const Tensor& input) const;
 
-  /// Lazily (re-)pack weights into the vector-kernel panel layout
-  /// (kernels::pack_rows_mr4). No-op while weight_.version matches the
-  /// packed version; optimizer steps and load_params bump it. Only called
-  /// on the vector-ISA path -- the scalar golden reads weight_.value.
-  void ensure_packed() const;
-
   /// Unfold one image [in_ch, h, w] into a [in_ch*k*k, oh*ow] patch matrix
   /// (rows ordered (ic, kr, kc) -- the kernel's flattened layout). Padding
   /// positions are written as zeros.
@@ -72,11 +63,6 @@ class Conv2D final : public Layer {
   Param weight_;
   Param bias_;
   Tensor cached_input_;
-  // Packed-weight cache for the vector-ISA GEMM path (the scalar golden
-  // reads weight_.value directly and never packs). packed_for_ is the
-  // weight version the pack was taken at; ~0 means never packed.
-  mutable tensor::Storage packed_w_;
-  mutable std::uint64_t packed_for_{~0ull};
 };
 
 }  // namespace darnet::nn

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -45,27 +44,22 @@ ShapeContract Dense::shape_contract(
   return ShapeContract::ok({input_shape[0], out_});
 }
 
-void Dense::ensure_packed() const {
-  if (packed_for_ == weight_.version) return;
-  packed_wt_.resize_uninit(static_cast<std::size_t>(in_) * out_);
-  const float* w = weight_.value.data();
-  for (int i = 0; i < in_; ++i) {
-    for (int j = 0; j < out_; ++j) {
-      packed_wt_[static_cast<std::size_t>(j) * in_ + i] =
-          w[static_cast<std::size_t>(i) * out_ + j];
-    }
-  }
-  packed_for_ = weight_.version;
-  DARNET_COUNTER_ADD("engine/pack_total", 1);
-}
-
 Tensor Dense::affine(const Tensor& x) const {
   const kernels::Kernels* kv = kernels::active_kernels();
   if (kv != nullptr) {
-    // Vector path: per-row dot products against the W^T pack with the
-    // bias folded into each output element (overwrite semantics), sharded
-    // over the disjoint output rows.
-    ensure_packed();
+    // Vector path: per-row dot products against W^T with the bias folded
+    // into each output element (overwrite semantics), sharded over the
+    // disjoint output rows. W^T is packed into the caller's scratch on
+    // every call, so inference writes nothing into the layer.
+    tensor::Storage wt(static_cast<std::size_t>(in_) * out_,
+                       tensor::Storage::Init::kUninit);
+    const float* w = weight_.value.data();
+    for (int j = 0; j < out_; ++j) {
+      float* row = wt.data() + static_cast<std::size_t>(j) * in_;
+      for (int i = 0; i < in_; ++i) {
+        row[i] = w[static_cast<std::size_t>(i) * out_ + j];
+      }
+    }
     const int n = x.dim(0);
     Tensor out = Tensor::uninit({n, out_});
     const std::int64_t row_flops = 2LL * in_ * out_;
@@ -76,7 +70,7 @@ Tensor Dense::affine(const Tensor& x) const {
     float* o = out.data();
     parallel::parallel_for(0, n, grain,
                            [&](std::int64_t m0, std::int64_t m1) {
-                             kv->gemv_bias_wt(xp, packed_wt_.data(), b, o,
+                             kv->gemv_bias_wt(xp, wt.data(), b, o,
                                               m0, m1, in_, out_);
                            });
     return out;

@@ -1,10 +1,7 @@
 // Fully connected layer: y = x W + b, x is [N, in], W is [in, out].
 #pragma once
 
-#include <cstdint>
-
 #include "nn/layer.hpp"
-#include "tensor/arena.hpp"
 
 namespace darnet::nn {
 
@@ -29,19 +26,11 @@ class Dense final : public Layer {
   Tensor affine(const Tensor& x) const;
   void validate_input(const Tensor& input) const;
 
-  /// Lazily (re-)pack W transposed to [out, in] for the vector-ISA
-  /// dot-product kernel (gemv_bias_wt). No-op while weight_.version
-  /// matches; the scalar golden reads weight_.value directly.
-  void ensure_packed() const;
-
   int in_;
   int out_;
   Param weight_;
   Param bias_;
   Tensor cached_input_;
-  // W^T cache for the vector path; ~0 means never packed.
-  mutable tensor::Storage packed_wt_;
-  mutable std::uint64_t packed_for_{~0ull};
 };
 
 }  // namespace darnet::nn

@@ -61,9 +61,6 @@ Tensor ParallelConcat::forward(const Tensor& input, bool training) {
   if (input.rank() != 4) {
     throw std::invalid_argument("ParallelConcat: NCHW input required");
   }
-  input_shape_ = input.shape();
-  branch_channels_.clear();
-
   // Branch outputs live for the length of this call only; route the
   // vector's backing block through the scratch arena so the steady-state
   // inference path stays heap-free.
@@ -84,9 +81,15 @@ Tensor ParallelConcat::forward(const Tensor& input, bool training) {
       throw std::logic_error(
           "ParallelConcat: branches disagree on spatial size");
     }
-    branch_channels_.push_back(y.dim(1));
     total_ch += y.dim(1);
     outs.push_back(std::move(y));
+  }
+  if (training) {
+    // Backward's slicing plan; inference reads each branch's channel
+    // count off its output and writes nothing here.
+    input_shape_ = input.shape();
+    branch_channels_.clear();
+    for (const Tensor& y : outs) branch_channels_.push_back(y.dim(1));
   }
 
   Tensor out = Tensor::uninit({n, total_ch, oh, ow});  // fully overwritten
@@ -94,7 +97,7 @@ Tensor ParallelConcat::forward(const Tensor& input, bool training) {
   for (int img = 0; img < n; ++img) {
     std::size_t ch_offset = 0;
     for (std::size_t b = 0; b < outs.size(); ++b) {
-      const int bc = branch_channels_[b];
+      const int bc = outs[b].dim(1);
       const float* src = outs[b].data() +
                          static_cast<std::size_t>(img) * bc * plane;
       float* dst = out.data() +
@@ -109,7 +112,8 @@ Tensor ParallelConcat::forward(const Tensor& input, bool training) {
 
 Tensor ParallelConcat::backward(const Tensor& grad_output) {
   if (input_shape_.empty()) {
-    throw std::logic_error("ParallelConcat::backward before forward");
+    throw std::logic_error(
+        "ParallelConcat::backward before forward(training=true)");
   }
   const int n = grad_output.dim(0);
   const int oh = grad_output.dim(2), ow = grad_output.dim(3);

@@ -37,7 +37,8 @@ class ParallelConcat final : public Layer {
 
  private:
   std::vector<LayerPtr> branches_;
-  std::vector<int> branch_channels_;  // from last forward
+  // From the last training forward; backward slices its gradient by them.
+  std::vector<int> branch_channels_;
   tensor::Shape input_shape_;
 };
 

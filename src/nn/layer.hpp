@@ -6,7 +6,6 @@
 // small, auditable, and fast on a single core.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,20 +21,11 @@ using tensor::Tensor;
 struct Param {
   Tensor value;
   Tensor grad;
-  /// Monotone version of `value`, bumped by every sanctioned mutation
-  /// (optimizer step, Sequential::load_params). Layers with packed weight
-  /// caches (Dense, Conv2D) compare it against the version they packed to
-  /// decide whether to re-pack -- this is the "invalidated on optimizer
-  /// step" half of the packing lifecycle. Code that writes `value`
-  /// directly (tests, manual surgery) must call mark_dirty() or the
-  /// vector-ISA path will keep serving the stale pack.
-  std::uint64_t version{0};
 
   explicit Param(Tensor initial)
       : value(std::move(initial)), grad(value.shape()) {}
 
   void zero_grad() noexcept { grad.zero(); }
-  void mark_dirty() noexcept { ++version; }
 };
 
 /// The shape contract a layer declares for checked builds: given an input
@@ -78,6 +68,12 @@ class Layer {
   Layer(Layer&&) = default;
   Layer& operator=(Layer&&) = default;
 
+  /// With `training` false, forward writes nothing into the layer: no
+  /// activation cache, no shape record, no weight pack. Concurrent
+  /// inference passes on one model are therefore safe, which is what lets
+  /// every serving shard run passes on one shared replica. With `training`
+  /// true it caches what backward() needs, so no other call on the layer
+  /// may run at the same time.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Rvalue-input forward: layers that cache their input for backward may

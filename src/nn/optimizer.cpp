@@ -34,7 +34,6 @@ void Sgd::step(const std::vector<Param*>& params) {
       w[j] -= lr * (v[j] + wd * w[j]);
       g[j] = 0.0f;
     }
-    p.mark_dirty();  // invalidate packed-weight caches (Dense/Conv2D)
     DARNET_CHECK_FINITE(p.value.flat(),
                         "Sgd::step updated param #" + std::to_string(i));
   }
@@ -77,7 +76,6 @@ void Adam::step(const std::vector<Param*>& params) {
       w[j] -= lr_t * m[j] / (std::sqrt(v[j]) + eps);
       g[j] = 0.0f;
     }
-    p.mark_dirty();  // invalidate packed-weight caches (Dense/Conv2D)
     DARNET_CHECK_FINITE(p.value.flat(),
                         "Adam::step updated param #" + std::to_string(i));
   }

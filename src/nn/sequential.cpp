@@ -74,8 +74,8 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
   if (layers_.empty()) return input;
   DARNET_TIMER("nn/forward_ns");
 #ifdef DARNET_CHECKED
-  checked_in_shapes_.assign(layers_.size(), {});
-  checked_in_shapes_[0] = input.shape();
+  std::vector<std::vector<int>> in_shapes(layers_.size());
+  in_shapes[0] = input.shape();
 #endif
   // First layer reads the caller's tensor; every later layer receives the
   // previous activation as an rvalue so caching layers (Conv2D, Dense,
@@ -86,20 +86,23 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
     x = layers_.front()->forward(input, training);
   }
 #ifdef DARNET_CHECKED
-  verify_boundary(0, checked_in_shapes_[0], x);
+  verify_boundary(0, in_shapes[0], x);
 #endif
   for (std::size_t i = 1; i < layers_.size(); ++i) {
 #ifdef DARNET_CHECKED
-    checked_in_shapes_[i] = x.shape();
+    in_shapes[i] = x.shape();
 #endif
     {
       DARNET_SPAN_DETAIL("nn/layer_forward", layer_names_[i]);
       x = layers_[i]->forward_moved(std::move(x), training);
     }
 #ifdef DARNET_CHECKED
-    verify_boundary(i, checked_in_shapes_[i], x);
+    verify_boundary(i, in_shapes[i], x);
 #endif
   }
+#ifdef DARNET_CHECKED
+  if (training) checked_in_shapes_ = std::move(in_shapes);
+#endif
   return x;
 }
 
@@ -107,20 +110,23 @@ Tensor Sequential::forward_moved(Tensor&& input, bool training) {
   DARNET_TIMER("nn/forward_ns");
   Tensor x = std::move(input);
 #ifdef DARNET_CHECKED
-  checked_in_shapes_.assign(layers_.size(), {});
+  std::vector<std::vector<int>> in_shapes(layers_.size());
 #endif
   for (std::size_t i = 0; i < layers_.size(); ++i) {
 #ifdef DARNET_CHECKED
-    checked_in_shapes_[i] = x.shape();
+    in_shapes[i] = x.shape();
 #endif
     {
       DARNET_SPAN_DETAIL("nn/layer_forward", layer_names_[i]);
       x = layers_[i]->forward_moved(std::move(x), training);
     }
 #ifdef DARNET_CHECKED
-    verify_boundary(i, checked_in_shapes_[i], x);
+    verify_boundary(i, in_shapes[i], x);
 #endif
   }
+#ifdef DARNET_CHECKED
+  if (training) checked_in_shapes_ = std::move(in_shapes);
+#endif
   return x;
 }
 
@@ -185,7 +191,6 @@ void Sequential::load_params(util::BinaryReader& reader) {
     }
     p->value = std::move(loaded);
     p->grad = Tensor(p->value.shape());
-    p->mark_dirty();  // invalidate packed-weight caches (Dense/Conv2D)
   }
 }
 

@@ -55,8 +55,8 @@ class Sequential final : public Layer {
   /// small-string buffer, e.g. "TemporalMeanPool") on every forward.
   std::vector<std::string> layer_names_;
 #ifdef DARNET_CHECKED
-  /// Input shape seen by each layer in the last forward pass; backward
-  /// asserts each layer's input-gradient matches it.
+  /// Input shape seen by each layer in the last training forward pass;
+  /// backward asserts each layer's input-gradient matches it.
   std::vector<std::vector<int>> checked_in_shapes_;
 #endif
 };

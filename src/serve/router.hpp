@@ -12,16 +12,16 @@
 // noisy tenant is clipped at the door before it can displace anyone
 // else's queued work.
 //
-// Model rollout is a versioned Snapshot: one EnsembleClassifier replica
-// per shard. Replicas are NOT shared across shards: inference writes into
-// the model (lazy weight packs, layer shape caches), and while each shard
-// runs one pass at a time on its one batching worker, two shards would run
-// passes into a shared replica concurrently. swap_snapshot() hot-swaps all
-// shards RCU-style: each shard's served-ensemble shared_ptr is flipped
-// under its admission lock while its worker runs the current batch on the
-// replica it snapshotted at batch formation. No request is dropped, no
-// worker stalls, and sessions untouched by the weight change see
-// bit-identical verdict streams across the swap.
+// Model rollout is a versioned Snapshot: the EnsembleClassifier each shard
+// serves. Entries may repeat, and one ensemble shared by every shard is
+// the usual case: an inference pass writes nothing into the model
+// (nn::Layer::forward), so any number of shard workers may run passes on
+// one replica at once. swap_snapshot() hot-swaps all shards RCU-style:
+// each shard's served-ensemble shared_ptr is flipped under its admission
+// lock while its worker runs the current batch on the replica it
+// snapshotted at batch formation. No request is dropped, no worker
+// stalls, and sessions untouched by the weight change see bit-identical
+// verdict streams across the swap.
 //
 // Lock hierarchy: the router's "route/state" mutex ranks *before* the
 // per-shard "serve/*" family (DESIGN.md "Lock hierarchy") -- it is held
@@ -61,7 +61,7 @@ struct TenantQuota {
 /// config lives in ShardConfig; this is everything that only makes sense
 /// above a single shard.
 struct RouterConfig {
-  /// Number of serve::Server shards (and snapshot replicas).
+  /// Number of serve::Server shards (and snapshot entries).
   int shards = 1;
   /// Ring points per shard. More points smooth the key-space split at
   /// the cost of a larger (still binary-searched) ring.
@@ -79,15 +79,16 @@ struct RouterConfig {
 /// may race with itself, swap_snapshot() and drain().
 class Router {
  public:
-  /// A versioned weight rollout: one ensemble replica per shard, all
-  /// built from the same weights so any shard serves identical math.
+  /// A versioned weight rollout: the ensemble each shard serves, one
+  /// entry per shard, all with the same weights so any shard serves
+  /// identical math. Entries may repeat (see the file comment).
   struct Snapshot {
     std::uint64_t version{0};
     std::vector<std::shared_ptr<engine::EnsembleClassifier>> replicas;
   };
 
-  /// `snapshot.replicas.size()` must equal `config.shards`; every
-  /// replica must be non-null and distinct (shards must not share one).
+  /// `snapshot.replicas.size()` must equal `config.shards`, and every
+  /// entry must be non-null.
   Router(Snapshot snapshot, RouterConfig config);
   ~Router();
 
@@ -106,8 +107,8 @@ class Router {
 
   /// Hot-swap to `next` (see file comment). next.version must be
   /// strictly greater than the current version, and next.replicas must
-  /// meet the constructor's rules (one non-null, distinct replica per
-  /// shard); throws std::invalid_argument otherwise, serving on unchanged.
+  /// meet the constructor's rules (one non-null entry per shard); throws
+  /// std::invalid_argument otherwise, serving on unchanged.
   void swap_snapshot(Snapshot next);
 
   /// Version of the snapshot currently being served.

@@ -219,8 +219,8 @@ void Server::execute_batch(
     complete(pending, std::move(response));
   }
 
-  // Gather + fused pass. The worker runs one batch at a time, and no other
-  // shard holds this replica (Router), so nothing else is inside the model.
+  // Gather + fused pass. Other shards may be running passes on this same
+  // replica: an inference pass writes nothing into the model.
   Tensor fused;
   std::exception_ptr error;
   if (!live.empty()) {

@@ -156,15 +156,11 @@ FleetSimulator::FleetSimulator(ScenarioConfig config)
                             config_.tenant_refill_per_s};
     }
   }
-  // One replica per shard, every one rebuilt from the same seed:
-  // identical weights (any shard serves identical math) but distinct
-  // objects, as the router's snapshot contract requires.
+  // Every shard serves the one ensemble: inference writes nothing into it.
   serve::Router::Snapshot snapshot;
   snapshot.version = 1;
-  snapshot.replicas.push_back(ensemble_);
-  for (int s = 1; s < config_.shards; ++s) {
-    snapshot.replicas.push_back(build_ensemble(config_.seed, with_imu));
-  }
+  snapshot.replicas.assign(static_cast<std::size_t>(config_.shards),
+                           ensemble_);
   router_ = std::make_unique<serve::Router>(std::move(snapshot),
                                             std::move(router_config));
 

@@ -2,12 +2,12 @@
 //
 // DESIGN.md "Kernel architecture" promises that steady-state
 // classify_batch performs no heap allocations: every buffer the forward
-// pass needs (activations, im2col scratch, padded planes, outputs) is
-// recycled through the thread's arena, and the packed-weight caches are
-// built once, not per call. This suite replaces the global allocator
-// with a counting one and asserts the promise literally -- after a
-// warm-up pass populates the arena's buckets and the pack caches, N
-// further classify_batch calls must perform exactly zero `new`s.
+// pass needs (activations, im2col scratch, padded planes, the weight
+// packs the vector ISAs take on every call, outputs) is recycled through
+// the thread's arena. This suite replaces the global allocator with a
+// counting one and asserts the promise literally -- after a warm-up pass
+// populates the arena's buckets, N further classify_batch calls must
+// perform exactly zero `new`s.
 //
 // The hot-path-alloc analyzer rule is the static half of this contract
 // (no std::vector<float> in the hot-path directories); this test is the
@@ -98,8 +98,8 @@ News classify_batch_news(kernels::Isa isa, int iters) {
   }
   const Tensor frame = Tensor::uniform({1, 1, 48, 48}, 0.5F, rng);
   const Tensor imu = Tensor::uniform({1, steps, rnn_cfg.channels}, 1.0F, rng);
-  // Warm-up: populate the engine's fallback arena buckets and the
-  // packed-weight caches (both allocate, by design, exactly once).
+  // Warm-up: populate the engine's fallback arena buckets (they
+  // allocate, by design, exactly once).
   News news;
   g_news.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);

@@ -304,12 +304,27 @@ TEST(HttpEdge, ClassifyMatchesTheStreamingReferenceBitForBit) {
               400)
         << frame;
   }
+  // Integers are strict too: no sign, fraction, exponent or trailing
+  // bytes, and a tenant that is present must be well formed (an absent
+  // one is tenant 0).
+  for (const char* ids :
+       {"\"session\":-1", "\"session\":+7", "\"session\":7.9",
+        "\"session\":7abc", "\"session\":1e3",
+        "\"session\":7,\"tenant\":-1", "\"session\":7,\"tenant\":2.5",
+        "\"session\":7,\"tenant\":x", "\"session\":7,\"tenant\":3x"}) {
+    EXPECT_EQ(http::post("127.0.0.1", edge.port(), "/classify",
+                         std::string("{") + ids + ",\"frame\":[1,2,3,4]}")
+                  .status,
+              400)
+        << ids;
+  }
   EXPECT_EQ(router.stats().routed, 4u);  // the 400s never reached serving
 
   // JSON whitespace around every element is fine...
   http::ClientResponse padded = http::post(
       "127.0.0.1", edge.port(), "/classify",
-      "{\"session\":7,\"frame\": [ 0.25 ,\t-0.5,\r\n1e-3 , 0 ] }");
+      "{\"session\": 7 ,\"tenant\":\t0,"
+      "\"frame\": [ 0.25 ,\t-0.5,\r\n1e-3 , 0 ] }");
   EXPECT_EQ(padded.status, 200) << padded.body;
   // ...and the session the hostile frames were aimed at still answers a
   // finite confidence.

@@ -258,26 +258,34 @@ TEST(Kernels, ThreadCountCannotChangeResults) {
 
 TEST(Kernels, PackedWeightsFollowParamMutation) {
   IsaGuard guard;
-  // The packed-weight cache keys on Param::version: mutating a weight
-  // and calling mark_dirty() must repack before the next forward (a
-  // stale cache would keep answering with the old weights).
+  // The vector paths pack weights (Dense's W^T, the 1x1 Conv2D's GEMM
+  // panels) on every forward, so a weight written straight into
+  // Param::value, with no notification, shows in the very next forward,
+  // as it does on the scalar path that never packs.
   if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
-  Rng rng(15);
-  nn::Dense dense(9, 4, rng);
-  Tensor x = Tensor::uniform({3, 9}, 1.0F, rng);
-  kernels::set_isa(supported_vector_isas().front());
-  Tensor before = dense.forward(x, false);
-  auto params = dense.params();
-  params[0]->value[0] += 2.5F;
-  params[0]->mark_dirty();
-  kernels::set_isa(kernels::Isa::kScalar);
-  Tensor want = dense.forward(x, false);
-  kernels::set_isa(supported_vector_isas().front());
-  Tensor after = dense.forward(x, false);
-  expect_close(after, want, "dense after mark_dirty");
-  // And the mutation genuinely changed the answer (the test would be
-  // vacuous otherwise).
-  EXPECT_NE(before[0], after[0]);
+  const auto follows = [](kernels::Isa isa, nn::Layer& layer,
+                          const Tensor& x, const char* what) {
+    kernels::set_isa(isa);
+    const Tensor before = layer.forward(x, false);
+    layer.params()[0]->value[0] += 2.5F;
+    kernels::set_isa(kernels::Isa::kScalar);
+    const Tensor want = layer.forward(x, false);
+    kernels::set_isa(isa);
+    const Tensor after = layer.forward(x, false);
+    expect_close(after, want, what);
+    // The mutation genuinely changed the answer (the test would be
+    // vacuous otherwise).
+    EXPECT_NE(before[0], after[0]) << what;
+  };
+  for (kernels::Isa isa : supported_vector_isas()) {
+    Rng rng(15);
+    nn::Dense dense(9, 4, rng);
+    follows(isa, dense, Tensor::uniform({3, 9}, 1.0F, rng), "dense");
+    nn::Conv2D conv(8, 5, 1, 0, rng);
+    ASSERT_TRUE(conv.use_gemm(16, 16));  // the packed-GEMM path
+    follows(isa, conv, Tensor::uniform({2, 8, 16, 16}, 1.0F, rng),
+            "1x1 conv");
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
 #include "parallel/pool.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +26,7 @@ namespace {
 
 using namespace darnet;
 using tensor::Tensor;
+namespace kernels = tensor::kernels;
 
 /// RAII guard: force a thread count, restore the previous one on exit.
 class ThreadCountGuard {
@@ -342,16 +344,28 @@ TEST(TrainerDeterminism, ShardedLossCurveIdenticalAcrossThreadCounts) {
 }
 
 TEST(TrainerDeterminism, ShardedTrainingConvergesLikeSerial) {
-  const auto serial = train_losses(/*threads=*/4, /*shards=*/1);
-  const auto sharded = train_losses(/*threads=*/4, /*shards=*/2);
-  // Different reduction order => different bits, but the same estimator:
-  // losses must track closely and both must improve.
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_NEAR(serial[i], sharded[i], 1e-3) << "epoch " << i;
+  // At every ISA: the vector ISAs pack weights inside each forward, so a
+  // replica must compute with the master weights copied into it before
+  // every step, not with the weights it had at its first pass.
+  struct IsaGuard {
+    ~IsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
+  } guard;
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                           kernels::Isa::kAvx512}) {
+    if (!kernels::isa_supported(isa)) continue;
+    SCOPED_TRACE(kernels::isa_name(isa));
+    kernels::set_isa(isa);
+    const auto serial = train_losses(/*threads=*/4, /*shards=*/1);
+    const auto sharded = train_losses(/*threads=*/4, /*shards=*/2);
+    // Different reduction order => different bits, but the same
+    // estimator: losses must track closely and both must improve.
+    ASSERT_EQ(serial.size(), sharded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_NEAR(serial[i], sharded[i], 1e-3) << "epoch " << i;
+    }
+    EXPECT_LT(serial.back(), serial.front());
+    EXPECT_LT(sharded.back(), sharded.front());
   }
-  EXPECT_LT(serial.back(), serial.front());
-  EXPECT_LT(sharded.back(), sharded.front());
 }
 
 TEST(TrainerDeterminism, ShardsRequireReplicaFactory) {

@@ -1,25 +1,31 @@
 // Tests for serve::Router: deterministic consistent-hash placement,
 // per-tenant token-bucket quotas under an injected clock, versioned
 // snapshot hot-swaps (zero dropped requests, bit-identical verdicts for
-// untouched sessions), and single-shard equivalence with a bare Server.
+// untouched sessions), one replica shared by every shard, and
+// single-shard equivalence with a bare Server.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <numeric>
 #include <vector>
 
+#include "engine/architectures.hpp"
 #include "engine/engine.hpp"
 #include "engine/streaming.hpp"
+#include "imu/imu.hpp"
 #include "nn/dense.hpp"
 #include "nn/sequential.hpp"
 #include "serve/router.hpp"
+#include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace darnet;
 using tensor::Tensor;
+namespace kernels = tensor::kernels;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kFeatures = 4;
@@ -79,12 +85,17 @@ TEST(RouterConfig, ValidatesSnapshotAndQuotas) {
   EXPECT_THROW(serve::Router(std::move(null_replica), config),
                std::invalid_argument);
 
-  // Shards must not share a replica: inference writes into the model, and
-  // two shards' workers would run passes into it concurrently.
+  // Shards may share a replica: inference writes nothing into the model.
   serve::Router::Snapshot shared = make_snapshot(2, 1);
   shared.replicas[1] = shared.replicas[0];
-  EXPECT_THROW(serve::Router(std::move(shared), config),
-               std::invalid_argument);
+  {
+    serve::Router router(std::move(shared), config);
+    const Tensor frame({1, kFeatures});
+    for (std::uint64_t session = 0; session < 8; ++session) {
+      auto sub = router.submit(make_request(session, frame));
+      EXPECT_EQ(sub.response.get().status, serve::Status::kOk);
+    }
+  }
 
   config.quotas[1] = serve::TenantQuota{0.0, 1.0};  // capacity < 1
   EXPECT_THROW(serve::Router(make_snapshot(2, 1), config),
@@ -248,17 +259,138 @@ TEST(RouterSwap, VersionMustIncreaseMonotonically) {
                std::invalid_argument);
   EXPECT_THROW(router.swap_snapshot(make_snapshot(3, 6)),
                std::invalid_argument);  // wrong replica count
-  // A rollout meets the constructor's snapshot rules: one replica handed
-  // to two shards is refused, and the old snapshot keeps serving.
-  serve::Router::Snapshot shared = make_snapshot(2, 6);
-  shared.replicas[1] = shared.replicas[0];
-  EXPECT_THROW(router.swap_snapshot(std::move(shared)),
-               std::invalid_argument);
   EXPECT_EQ(router.snapshot_version(), 5u);
   router.swap_snapshot(make_snapshot(2, 6));
   EXPECT_EQ(router.snapshot_version(), 6u);
-  EXPECT_EQ(router.stats().snapshot_swaps, 1u);
+  // One replica handed to both shards is a valid rollout too.
+  serve::Router::Snapshot shared = make_snapshot(2, 7);
+  shared.replicas[1] = shared.replicas[0];
+  router.swap_snapshot(std::move(shared));
+  EXPECT_EQ(router.snapshot_version(), 7u);
+  EXPECT_EQ(router.stats().snapshot_swaps, 2u);
   router.drain();
+}
+
+/// The paper's ensemble (MicroInception CNN + BiLSTM + Bayesian combiner)
+/// on 16x16 frames, so it runs quickly under tsan. Built from fixed seeds:
+/// two calls at one ISA give bit-identical replicas.
+std::shared_ptr<engine::EnsembleClassifier> make_paper_ensemble() {
+  engine::FrameCnnConfig cnn_config;
+  cnn_config.input_size = 16;
+  const engine::ImuRnnConfig rnn_config;
+  auto cnn = std::make_shared<nn::Sequential>(
+      engine::build_frame_cnn(cnn_config));
+  auto rnn = std::make_shared<nn::Sequential>(
+      engine::build_imu_rnn(rnn_config));
+  auto ensemble = std::make_shared<engine::EnsembleClassifier>(
+      std::make_shared<engine::NeuralClassifier>(
+          cnn, cnn_config.num_classes, "cnn"),
+      std::make_shared<engine::NeuralClassifier>(
+          rnn, rnn_config.num_classes, "rnn"),
+      bayes::ClassMap::darnet_default());
+  // The combiner refuses to combine before it is fitted; a few synthetic
+  // rows covering every class are enough.
+  util::Rng rng(21);
+  std::vector<int> labels(static_cast<std::size_t>(cnn_config.num_classes));
+  std::iota(labels.begin(), labels.end(), 0);
+  const int rows = cnn_config.num_classes;
+  ensemble->fit(Tensor::uniform({rows, 1, 16, 16}, 0.5F, rng),
+                Tensor::uniform({rows, imu::kWindowSteps, rnn_config.channels},
+                                1.0F, rng),
+                labels);
+  return ensemble;
+}
+
+// One replica serves a 2-shard router: both shard workers run passes in
+// it at once. Every verdict must equal the single-threaded reference bit
+// for bit, at every ISA this build and CPU can run (the vector ISAs pack
+// weights inside the pass, so they are the ones that would race). Mid
+// traffic, a permuted rollout over two same-seed replicas ({r1, r0} over
+// {r0, r0}) and a repeated one ({r0, r0}) each drop nothing.
+TEST(RouterShared, OneReplicaServesEveryShardBitIdentically) {
+  constexpr int kSessions = 8;
+  constexpr int kSteps = 6;
+  struct IsaGuard {
+    ~IsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
+  } guard;
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                           kernels::Isa::kAvx512}) {
+    if (!kernels::isa_supported(isa)) continue;
+    SCOPED_TRACE(kernels::isa_name(isa));
+    kernels::set_isa(isa);
+    auto r0 = make_paper_ensemble();
+    auto r1 = make_paper_ensemble();
+    const int channels = engine::ImuRnnConfig{}.channels;
+
+    util::Rng rng(53);
+    std::vector<std::vector<Tensor>> frames(kSessions);
+    std::vector<std::vector<Tensor>> windows(kSessions);
+    std::vector<std::vector<engine::StreamingVerdict>> reference(kSessions);
+    for (int s = 0; s < kSessions; ++s) {
+      engine::StreamingClassifier stream(r0, engine::StreamingConfig{});
+      for (int t = 0; t < kSteps; ++t) {
+        frames[s].push_back(Tensor::uniform({1, 1, 16, 16}, 0.5F, rng));
+        windows[s].push_back(
+            Tensor::uniform({1, imu::kWindowSteps, channels}, 1.0F, rng));
+        reference[s].push_back(stream.step(frames[s][t], windows[s][t]));
+      }
+    }
+
+    serve::RouterConfig config;
+    config.shards = 2;
+    serve::Router router(serve::Router::Snapshot{1, {r0, r0}}, config);
+    std::vector<int> per_shard(2, 0);
+    for (int s = 0; s < kSessions; ++s) {
+      ++per_shard[static_cast<std::size_t>(
+          router.shard_for(static_cast<std::uint64_t>(s)))];
+    }
+    ASSERT_GT(per_shard[0], 0);
+    ASSERT_GT(per_shard[1], 0);
+
+    // Riffled: every step submits one frame per session, so both shards'
+    // queues fill and their workers run batches in r0 at the same time.
+    std::vector<std::vector<std::future<serve::Response>>> futures(kSessions);
+    for (int t = 0; t < kSteps; ++t) {
+      if (t == kSteps / 3) {
+        router.swap_snapshot(serve::Router::Snapshot{2, {r1, r0}});
+      }
+      if (t == 2 * kSteps / 3) {
+        router.swap_snapshot(serve::Router::Snapshot{3, {r0, r0}});
+      }
+      for (int s = 0; s < kSessions; ++s) {
+        engine::ClassifyRequest request =
+            make_request(static_cast<std::uint64_t>(s), frames[s][t]);
+        request.imu_window = windows[s][t];
+        auto sub = router.submit(std::move(request));
+        ASSERT_EQ(sub.admit, serve::Admit::kAccepted);
+        futures[s].push_back(std::move(sub.response));
+      }
+    }
+    router.drain();
+    EXPECT_EQ(router.snapshot_version(), 3u);
+
+    for (int s = 0; s < kSessions; ++s) {
+      for (int t = 0; t < kSteps; ++t) {
+        const serve::Response response = futures[s][t].get();
+        ASSERT_EQ(response.status, serve::Status::kOk)
+            << "s=" << s << " t=" << t;
+        const auto& got = response.result.verdict;
+        EXPECT_EQ(got.predicted, reference[s][t].predicted);
+        for (std::size_t i = 0; i < reference[s][t].distribution.numel();
+             ++i) {
+          EXPECT_EQ(got.distribution[i], reference[s][t].distribution[i])
+              << "s=" << s << " t=" << t << " i=" << i;  // bitwise
+        }
+      }
+    }
+    const serve::Router::Stats stats = router.stats();
+    EXPECT_EQ(stats.snapshot_swaps, 2u);
+    std::uint64_t completed = 0;
+    for (const serve::Server::Stats& shard : stats.per_shard) {
+      completed += shard.completed;
+    }
+    EXPECT_EQ(completed, static_cast<std::uint64_t>(kSessions * kSteps));
+  }
 }
 
 TEST(RouterEquivalence, OneShardMatchesABareServer) {

@@ -1,7 +1,8 @@
 // Tests for the serving tier: micro-batching determinism (bit-identical to
 // the single-threaded StreamingClassifier reference), batch formation,
-// backpressure and the shed policy, per-request deadlines, graceful drain,
-// and the degraded-mode watermark hysteresis. Runs under the tsan leg.
+// backpressure and the shed policy, per-request deadlines, a model that
+// throws mid-batch, graceful drain, and the degraded-mode watermark
+// hysteresis. Runs under the tsan leg.
 //
 // Note: std::thread is banned outside src/parallel (darnet_analyze's
 // thread-outside-parallel rule), so concurrency here is exercised through the
@@ -11,6 +12,7 @@
 
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -90,6 +92,23 @@ struct GatedClassifier final : engine::ProbabilisticClassifier {
     sync::UniqueLock lock(mu);
     cv.wait(lock, [&] { return entered >= n; });
   }
+};
+
+/// A GatedClassifier whose `throw_on`-th call (1-based) throws after
+/// leaving the gate: a model fault in the middle of serving.
+struct FaultyClassifier final : engine::ProbabilisticClassifier {
+  explicit FaultyClassifier(int fault_call) : throw_on(fault_call) {}
+  GatedClassifier gated;
+  const int throw_on;
+
+  Tensor probabilities(const Tensor& inputs) override {
+    Tensor p = gated.probabilities(inputs);
+    sync::Lock lock(gated.mu);
+    if (gated.calls == throw_on) throw std::runtime_error("model fault");
+    return p;
+  }
+  int num_classes() const override { return kClasses; }
+  std::string describe() const override { return "faulty"; }
 };
 
 /// Identity over the IMU evidence distribution (already [N, 3]).
@@ -499,6 +518,50 @@ TEST(ServeHotSwap, SwapKeepsSessionStreamsBitIdentical) {
   server.drain();
   EXPECT_EQ(server.stats().ensemble_swaps, 1u);
   EXPECT_EQ(server.stats().completed, static_cast<std::uint64_t>(kSteps));
+}
+
+TEST(ServeFaults, AModelThatThrowsFailsOnlyItsOwnBatch) {
+  auto model = std::make_shared<FaultyClassifier>(2);
+  auto ensemble = std::make_shared<engine::EnsembleClassifier>(
+      model, nullptr, bayes::ClassMap::darnet_default());
+  serve::Server server(ensemble, serve::ShardConfig{});
+
+  // Hold a lone pass inside the model so three rows queue behind it; they
+  // form the second batch, whose call throws.
+  const Tensor frame({1, kFeatures});
+  model->gated.close_gate();
+  auto lone = server.submit(make_request(0, frame));
+  model->gated.await_entered(1);
+  std::vector<std::future<serve::Response>> faulted;
+  for (std::uint64_t session = 1; session <= 3; ++session) {
+    auto sub = server.submit(make_request(session, frame));
+    ASSERT_EQ(sub.admit, serve::Admit::kAccepted);
+    faulted.push_back(std::move(sub.response));
+  }
+  model->gated.release();
+  EXPECT_EQ(lone.response.get().status, serve::Status::kOk);
+  for (auto& future : faulted) {
+    try {
+      (void)future.get();
+      ADD_FAILURE() << "a row of the faulted batch was served";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "model fault");
+    }
+  }
+
+  // The worker survives the fault: the next batch is served, and the
+  // faulted rows never advanced their sessions.
+  auto next = server.submit(make_request(1, frame));
+  EXPECT_EQ(next.response.get().status, serve::Status::kOk);
+  server.drain();
+  EXPECT_EQ(server.session(1).steps, 1);
+  {
+    sync::Lock lock(model->gated.mu);
+    EXPECT_EQ(model->gated.rows, (std::vector<int>{1, 3, 1}));
+  }
+  const serve::Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.batches, 3u);    // the faulted batch ran
+  EXPECT_EQ(stats.completed, 2u);  // its rows were not served
 }
 
 TEST(ServeDrain, LeavesNoPendingFuturesAndRejectsAfter) {

@@ -14,6 +14,22 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Indexed for the semantic rules. Tests stay out (gtest code would confuse
+// call resolution), and so do bench and tools: no rule's scope covers
+// them, and indexed, they only let loose call resolution invent effect
+// paths through their functions.
+const std::vector<std::string> kIndexPrefixes = {"src/", "examples/"};
+// Skipped entirely (deliberately-broken fixture trees).
+const std::vector<std::string> kSkipPrefixes = {"tests/analyze_fixtures/"};
+// Semantic rules run only on files under these prefixes. Tests and bench
+// stay out of scope: test_sync contains deliberate lock inversions (death
+// tests) and gtest macros defeat the approximate parser.
+const std::vector<std::string> kRulePrefixes = {"src/"};
+// unchecked-status additionally covers examples/ (the public API surface).
+const std::vector<std::string> kStatusRulePrefixes = {"src/", "examples/"};
+// unchecked-posix-io runs only where raw POSIX sockets/fds live.
+const std::vector<std::string> kPosixIoPrefixes = {"src/http/"};
+
 bool under_any(const std::string& file, const std::vector<std::string>& prefixes) {
   for (const auto& p : prefixes) {
     if (file.rfind(p, 0) == 0) return true;
@@ -372,8 +388,7 @@ std::map<FnId, Effects> compute_effects(const Index& idx) {
 // Rule 1: static lock-order extraction.
 // ---------------------------------------------------------------------------
 
-void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<LockEdge>& edges,
+void rule_lock_order(const Index& idx, std::vector<LockEdge>& edges,
                      std::vector<Finding>& findings) {
   Resolver R{idx};
 
@@ -415,7 +430,7 @@ void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
 
   for (size_t fi = 0; fi < idx.files.size(); ++fi) {
     const FileIndex& fx = idx.files[fi];
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRulePrefixes)) continue;
     for (size_t gi = 0; gi < fx.functions.size(); ++gi) {
       const FunctionInfo& F = fx.functions[gi];
       for (const auto& outer : F.locks) {
@@ -520,8 +535,7 @@ void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
 // Rule 2: guarded-by access checking.
 // ---------------------------------------------------------------------------
 
-void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<Finding>& findings) {
+void rule_guarded_by(const Index& idx, std::vector<Finding>& findings) {
   Resolver R{idx};
   // guarded member name -> owning classes (name collisions across classes are
   // disambiguated through the receiver / enclosing class below).
@@ -535,7 +549,7 @@ void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
   if (guarded.empty()) return;
 
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRulePrefixes)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       if (F.ctor_dtor) continue;  // exclusive access during construction
@@ -625,8 +639,7 @@ const std::set<std::string>& growth_calls() {
 
 }  // namespace
 
-void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
-                         std::vector<Finding>& findings) {
+void rule_hot_path_alloc(const Index& idx, std::vector<Finding>& findings) {
   Resolver R{idx};
   static const std::set<std::string> kRoots = {
       "classify_batch", "classify_batch_degraded", "worker_loop",
@@ -640,7 +653,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
     if (!kRoots.count(name)) continue;
     for (FnId id : ids) {
       const FunctionInfo& F = idx.fn(id);
-      if (!under_any(F.file, opts.rule_prefixes)) continue;
+      if (!under_any(F.file, kRulePrefixes)) continue;
       if (!parent.count(id)) {
         parent[id] = {id, symbol_of(F)};
         queue.push_back(id);
@@ -655,7 +668,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
     for (const auto& c : F.calls) {
       for (FnId g : R.loose(F, c)) {
         const FunctionInfo& G = idx.fn(g);
-        if (!under_any(G.file, opts.rule_prefixes)) continue;
+        if (!under_any(G.file, kRulePrefixes)) continue;
         if (parent.count(g)) continue;
         parent[g] = {id, parent[id].second};
         queue.push_back(g);
@@ -705,8 +718,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
 // Rule 4: unchecked Admit/Status return values.
 // ---------------------------------------------------------------------------
 
-void rule_unchecked_status(const Index& idx, const AnalysisOptions& opts,
-                           std::vector<Finding>& findings) {
+void rule_unchecked_status(const Index& idx, std::vector<Finding>& findings) {
   Resolver R{idx};
   // In-tree functions whose return type mentions Admit or Status.
   std::set<std::string> status_names;
@@ -723,7 +735,7 @@ void rule_unchecked_status(const Index& idx, const AnalysisOptions& opts,
   if (status_names.empty()) return;
 
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.status_rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kStatusRulePrefixes)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       for (const auto& c : F.calls) {
@@ -807,14 +819,14 @@ std::string tier_suffix(bool tier0) {
 
 }  // namespace
 
-void rule_blocking_under_lock(const Index& idx, const AnalysisOptions& opts,
+void rule_blocking_under_lock(const Index& idx,
                               const std::map<FnId, Effects>& effects,
                               std::vector<Finding>& findings) {
   Resolver R{idx};
   static const std::set<std::string> kWaits = {"wait", "wait_for",
                                                "wait_until"};
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRulePrefixes)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       const bool exempt_fn = blocking_exempt(F);
@@ -907,10 +919,10 @@ bool time_seam(const FunctionInfo& F) {
 
 }  // namespace
 
-void rule_time_source_purity(const Index& idx, const AnalysisOptions& opts,
+void rule_time_source_purity(const Index& idx,
                              std::vector<Finding>& findings) {
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRulePrefixes)) continue;
     for (const auto& F : fx.functions) {
       if (time_seam(F)) continue;
       for (const auto& c : F.calls) {
@@ -930,12 +942,12 @@ void rule_time_source_purity(const Index& idx, const AnalysisOptions& opts,
 // Rule 7: unchecked POSIX I/O status.
 // ---------------------------------------------------------------------------
 
-void rule_unchecked_posix_io(const Index& idx, const AnalysisOptions& opts,
+void rule_unchecked_posix_io(const Index& idx,
                              std::vector<Finding>& findings) {
   static const std::set<std::string> kPosix = {"send", "recv", "accept",
                                                "close"};
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.posix_io_prefixes)) continue;
+    if (!under_any(fx.lex.path, kPosixIoPrefixes)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       for (const auto& c : F.calls) {
@@ -965,7 +977,7 @@ void rule_unchecked_posix_io(const Index& idx, const AnalysisOptions& opts,
 // Driver.
 // ---------------------------------------------------------------------------
 
-AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
+AnalysisResult analyze_tree(const fs::path& root) {
   AnalysisResult res;
   Index idx;
   std::vector<fs::path> files;
@@ -981,12 +993,10 @@ AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
     }
   }
   std::sort(files.begin(), files.end());
-  std::vector<std::string> index_prefixes;
-  for (const auto& dir : opts.index_dirs) index_prefixes.push_back(dir + "/");
   DocUses uses;
   for (const auto& p : files) {
     std::string rel = fs::relative(p, root).generic_string();
-    if (under_any(rel, opts.skip_prefixes)) continue;
+    if (under_any(rel, kSkipPrefixes)) continue;
     std::ifstream in(p, std::ios::binary);
     if (!in) {
       res.findings.push_back(
@@ -997,7 +1007,7 @@ AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
     ss << in.rdbuf();
     ++res.files_checked;
     LexedFile lexed = lex(ss.str(), rel);
-    if (!under_any(rel, index_prefixes)) {
+    if (!under_any(rel, kIndexPrefixes)) {
       check_file(lexed, {}, uses, res.findings);
       continue;
     }
@@ -1010,15 +1020,15 @@ AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
   for (const auto& fx : idx.files)
     res.functions_indexed += static_cast<int>(fx.functions.size());
 
-  rule_lock_order(idx, opts, res.lock_edges, res.findings);
-  rule_guarded_by(idx, opts, res.findings);
-  rule_hot_path_alloc(idx, opts, res.findings);
-  rule_unchecked_status(idx, opts, res.findings);
+  rule_lock_order(idx, res.lock_edges, res.findings);
+  rule_guarded_by(idx, res.findings);
+  rule_hot_path_alloc(idx, res.findings);
+  rule_unchecked_status(idx, res.findings);
 
   const std::map<FnId, Effects> effects = compute_effects(idx);
-  rule_blocking_under_lock(idx, opts, effects, res.findings);
-  rule_time_source_purity(idx, opts, res.findings);
-  rule_unchecked_posix_io(idx, opts, res.findings);
+  rule_blocking_under_lock(idx, effects, res.findings);
+  rule_time_source_purity(idx, res.findings);
+  rule_unchecked_posix_io(idx, res.findings);
 
   for (const auto& [id, e] : effects) {
     if (!e.may_block && !e.reads_clock) continue;

@@ -69,23 +69,6 @@ struct LockEdge {
   std::string via;   // function whose body holds the outer lock
 };
 
-struct AnalysisOptions {
-  // Walked directories (src tests bench examples tools) whose files are also
-  // indexed for the semantic rules. Tests stay out: gtest code would confuse
-  // call resolution.
-  std::vector<std::string> index_dirs = {"src", "tools", "examples"};
-  // Path prefixes to skip entirely (deliberately-broken fixture trees).
-  std::vector<std::string> skip_prefixes = {"tests/analyze_fixtures/"};
-  // Semantic rules run only on files under these prefixes. Tests and bench
-  // stay out of scope: test_sync contains deliberate lock inversions (death
-  // tests) and gtest macros defeat the approximate parser.
-  std::vector<std::string> rule_prefixes = {"src/"};
-  // unchecked-status additionally covers examples/ (the public API surface).
-  std::vector<std::string> status_rule_prefixes = {"src/", "examples/"};
-  // unchecked-posix-io runs only where raw POSIX sockets/fds live.
-  std::vector<std::string> posix_io_prefixes = {"src/http/"};
-};
-
 // One function's computed effects, flattened for --dump-effects and tests.
 struct EffectEntry {
   std::string symbol;  // "Class::function" or "function"
@@ -107,8 +90,7 @@ struct AnalysisResult {
 };
 
 // Walk, lex, index and run every rule over the repo at `root`.
-AnalysisResult analyze_tree(const std::filesystem::path& root,
-                            const AnalysisOptions& opts = {});
+AnalysisResult analyze_tree(const std::filesystem::path& root);
 
 // One registration site of a name a checked doc table must list.
 struct NameUse {
@@ -140,21 +122,17 @@ void check_doc_contracts(const std::filesystem::path& root,
 bool hot_path_alloc_exempt(const std::string& file, const FunctionInfo* fn);
 
 // Individual rule entry points (exposed for tests).
-void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<LockEdge>& edges,
+void rule_lock_order(const Index& idx, std::vector<LockEdge>& edges,
                      std::vector<Finding>& findings);
-void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<Finding>& findings);
-void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
-                         std::vector<Finding>& findings);
-void rule_unchecked_status(const Index& idx, const AnalysisOptions& opts,
-                           std::vector<Finding>& findings);
-void rule_blocking_under_lock(const Index& idx, const AnalysisOptions& opts,
+void rule_guarded_by(const Index& idx, std::vector<Finding>& findings);
+void rule_hot_path_alloc(const Index& idx, std::vector<Finding>& findings);
+void rule_unchecked_status(const Index& idx, std::vector<Finding>& findings);
+void rule_blocking_under_lock(const Index& idx,
                               const std::map<FnId, Effects>& effects,
                               std::vector<Finding>& findings);
-void rule_time_source_purity(const Index& idx, const AnalysisOptions& opts,
+void rule_time_source_purity(const Index& idx,
                              std::vector<Finding>& findings);
-void rule_unchecked_posix_io(const Index& idx, const AnalysisOptions& opts,
+void rule_unchecked_posix_io(const Index& idx,
                              std::vector<Finding>& findings);
 
 }  // namespace darnet::analyze

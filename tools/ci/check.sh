@@ -30,9 +30,11 @@
 #   sync-stress
 #            concurrency-correctness stress: Debug + ThreadSanitizer with
 #            DARNET_CHECKED=ON explicit, building only the lock-heavy
-#            suites (test_sync, test_serve, test_parallel) and repeating
-#            them until-fail:2 -- the lock-order graph, held-lock stack
-#            and CV watchdog run under tsan at the same time
+#            suites (test_sync, test_serve, test_parallel, test_router)
+#            and repeating them until-fail:2 -- the lock-order graph,
+#            held-lock stack and CV watchdog run under tsan at the same
+#            time, and test_router runs two shard workers' passes in one
+#            shared replica
 #   analyze  the one static gate: build darnet_analyze alone (Release)
 #            and run it over the tree in --format=json mode -- per-file
 #            rules, doc-drift contracts and cross-file semantic rules in
@@ -389,7 +391,7 @@ run_analyze() {
   if [ "${analyze_ms}" -gt $((ANALYZE_BUDGET_S * 1000)) ]; then
     echo "analyzer run took ${ANALYZE_RUN_SECONDS}s, over the" \
          "${ANALYZE_BUDGET_S}s budget (docs/STATIC_ANALYSIS.md:" \
-         "shard the index_dirs walk before touching rule logic)" >&2
+         "shard the file walk before touching rule logic)" >&2
     FAILED+=("analyze (budget)")
     return 1
   fi
@@ -412,13 +414,14 @@ run_sync_stress() {
   fi
   echo "=== [sync-stress] build (-j${JOBS}) ==="
   if ! cmake --build "${leg_dir}" -j "${JOBS}" \
-       --target test_sync --target test_serve --target test_parallel; then
+       --target test_sync --target test_serve --target test_parallel \
+       --target test_router; then
     FAILED+=("sync-stress (build)")
     return 1
   fi
   echo "=== [sync-stress] stress ==="
   if ! ctest --test-dir "${leg_dir}" --output-on-failure \
-       -R '^(test_sync|test_serve|test_parallel)$' \
+       -R '^(test_sync|test_serve|test_parallel|test_router)$' \
        --repeat until-fail:2; then
     FAILED+=("sync-stress (test)")
     return 1
