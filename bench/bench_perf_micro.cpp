@@ -101,15 +101,13 @@ BENCHMARK(BM_TrainEpoch);
 void BM_DatasetGeneration(benchmark::State& state) {
   core::DatasetConfig cfg;
   cfg.scale = 0.002;
-  cfg.parallel = state.range(0) != 0;
   for (auto _ : state) {
     core::Dataset data = core::generate_dataset(cfg);
     benchmark::DoNotOptimize(data.frames.data());
   }
-  state.SetLabel(cfg.parallel ? "per-row forked RNG streams"
-                              : "serial single-stream (seed layout)");
+  state.SetLabel("serial single-stream (seed layout)");
 }
-BENCHMARK(BM_DatasetGeneration)->Arg(0)->Arg(1);
+BENCHMARK(BM_DatasetGeneration);
 
 void BM_FrameCnnInference(benchmark::State& state) {
   engine::FrameCnnConfig cfg;

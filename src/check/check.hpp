@@ -13,7 +13,7 @@
 //   * finite scanning   -- NaN/Inf detection over activation / gradient
 //                          buffers (Sequential, optimizers);
 //   * ShardWriteTracker -- overlapping-writer detection for parallel_for
-//                          row shards (ops kernels, sharded trainer).
+//                          row shards (GEMM rows, Conv2D batch images).
 //
 // darnet::check depends on nothing but the standard library and sits below
 // util/tensor in the link order; see DESIGN.md "Correctness tooling".

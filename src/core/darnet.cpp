@@ -42,12 +42,6 @@ TrainReport DarNet::train(const Dataset& train_data) {
     tc.epochs = config_.cnn_epochs;
     tc.batch_size = config_.batch_size;
     tc.shuffle_seed = config_.seed;
-    if (config_.data_parallel_shards > 1) {
-      tc.shards = config_.data_parallel_shards;
-      tc.make_replica = [cfg = config_.cnn]() -> nn::LayerPtr {
-        return std::make_unique<nn::Sequential>(engine::build_frame_cnn(cfg));
-      };
-    }
     report.cnn_final_loss = nn::train_classifier(
         *cnn_, optimizer, train_data.frames, train_data.labels, tc);
   }
@@ -59,12 +53,6 @@ TrainReport DarNet::train(const Dataset& train_data) {
     tc.epochs = config_.rnn_epochs;
     tc.batch_size = config_.batch_size;
     tc.shuffle_seed = config_.seed ^ 0xabcdULL;
-    if (config_.data_parallel_shards > 1) {
-      tc.shards = config_.data_parallel_shards;
-      tc.make_replica = [cfg = config_.rnn]() -> nn::LayerPtr {
-        return std::make_unique<nn::Sequential>(engine::build_imu_rnn(cfg));
-      };
-    }
     report.rnn_final_loss = nn::train_classifier(
         *rnn_, optimizer, train_data.imu_windows, train_data.imu_labels, tc);
   }

@@ -25,12 +25,6 @@ struct DarNetConfig {
   double cnn_lr = 0.03;
   double rnn_lr = 0.004;
   std::uint64_t seed = 1;
-
-  /// Data-parallel shards per training minibatch (see TrainConfig::shards).
-  /// 1 keeps the bit-reproducible serial trainer; > 1 trades exact seed
-  /// reproducibility for parallel speed-up (still deterministic for a
-  /// fixed shard count, independent of DARNET_THREADS).
-  int data_parallel_shards = 1;
 };
 
 struct TrainReport {

@@ -2,7 +2,6 @@
 
 #include "nn/trainer.hpp"
 #include "obs/obs.hpp"
-#include "parallel/pool.hpp"
 
 #include <cmath>
 #include <numeric>
@@ -74,83 +73,31 @@ Dataset generate_dataset(const DatasetConfig& config) {
   const std::size_t window_stride =
       static_cast<std::size_t>(imu::kWindowSteps) * imu::kImuChannels;
 
-  if (!config.parallel) {
-    // Single-stream generator: one RNG drives every row in order. This is
-    // the original (seed) behaviour and stays bit-for-bit reproducible.
-    std::size_t row = 0;
-    for (int cls = 0; cls < vision::kDriverClassCount; ++cls) {
-      const auto driver_class = static_cast<vision::DriverClass>(cls);
-      for (int i = 0; i < counts[static_cast<std::size_t>(cls)]; ++i, ++row) {
-        const int driver = i % config.num_drivers;
-        const vision::Image frame = vision::render_driver_scene(
-            driver_class, render_cfgs[static_cast<std::size_t>(driver)], rng);
-        std::copy(frame.pixels().begin(), frame.pixels().end(),
-                  data.frames.data() + row * frame_stride);
-
-        const imu::PhoneOrientation orientation =
-            orientation_for(driver_class, rng);
-        const auto trace = imu::generate_trace(
-            orientation, imu_cfgs[static_cast<std::size_t>(driver)], rng);
-        const Tensor window = imu::to_window(trace);
-        std::copy(window.data(), window.data() + window_stride,
-                  data.imu_windows.data() + row * window_stride);
-
-        data.labels.push_back(cls);
-        data.imu_labels.push_back(
-            static_cast<int>(imu::imu_class_of(orientation)));
-        data.driver_ids.push_back(driver);
-      }
-    }
-    return data;
-  }
-
-  // Sharded generator: the serial prelude above already consumed the same
-  // driver-style draws as the serial path; now every row gets its own RNG
-  // stream forked in row order, making each row's sample independent of
-  // which thread renders it.
-  struct RowSpec {
-    vision::DriverClass cls;
-    int driver;
-    util::Rng rng;
-  };
-  std::vector<RowSpec> specs;
-  specs.reserve(static_cast<std::size_t>(total));
+  // One RNG drives every row in order, so a seed fixes the whole dataset.
+  std::size_t row = 0;
   for (int cls = 0; cls < vision::kDriverClassCount; ++cls) {
-    for (int i = 0; i < counts[static_cast<std::size_t>(cls)]; ++i) {
-      specs.push_back({static_cast<vision::DriverClass>(cls),
-                       i % config.num_drivers, rng.fork()});
+    const auto driver_class = static_cast<vision::DriverClass>(cls);
+    for (int i = 0; i < counts[static_cast<std::size_t>(cls)]; ++i, ++row) {
+      const int driver = i % config.num_drivers;
+      const vision::Image frame = vision::render_driver_scene(
+          driver_class, render_cfgs[static_cast<std::size_t>(driver)], rng);
+      std::copy(frame.pixels().begin(), frame.pixels().end(),
+                data.frames.data() + row * frame_stride);
+
+      const imu::PhoneOrientation orientation =
+          orientation_for(driver_class, rng);
+      const auto trace = imu::generate_trace(
+          orientation, imu_cfgs[static_cast<std::size_t>(driver)], rng);
+      const Tensor window = imu::to_window(trace);
+      std::copy(window.data(), window.data() + window_stride,
+                data.imu_windows.data() + row * window_stride);
+
+      data.labels.push_back(cls);
+      data.imu_labels.push_back(
+          static_cast<int>(imu::imu_class_of(orientation)));
+      data.driver_ids.push_back(driver);
     }
   }
-
-  data.labels.resize(static_cast<std::size_t>(total));
-  data.imu_labels.resize(static_cast<std::size_t>(total));
-  data.driver_ids.resize(static_cast<std::size_t>(total));
-  parallel::parallel_for(
-      0, total, /*grain=*/8, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          const auto row = static_cast<std::size_t>(r);
-          RowSpec& spec = specs[row];
-          const vision::Image frame = vision::render_driver_scene(
-              spec.cls, render_cfgs[static_cast<std::size_t>(spec.driver)],
-              spec.rng);
-          std::copy(frame.pixels().begin(), frame.pixels().end(),
-                    data.frames.data() + row * frame_stride);
-
-          const imu::PhoneOrientation orientation =
-              orientation_for(spec.cls, spec.rng);
-          const auto trace = imu::generate_trace(
-              orientation, imu_cfgs[static_cast<std::size_t>(spec.driver)],
-              spec.rng);
-          const Tensor window = imu::to_window(trace);
-          std::copy(window.data(), window.data() + window_stride,
-                    data.imu_windows.data() + row * window_stride);
-
-          data.labels[row] = static_cast<int>(spec.cls);
-          data.imu_labels[row] =
-              static_cast<int>(imu::imu_class_of(orientation));
-          data.driver_ids[row] = spec.driver;
-        }
-      });
   return data;
 }
 

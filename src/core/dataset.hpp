@@ -35,13 +35,6 @@ struct DatasetConfig {
   /// that biases both modalities consistently. 1 disables heterogeneity.
   int num_drivers = 5;
   std::uint64_t seed = 42;
-  /// Shard frame/IMU synthesis across the thread pool. Every row draws
-  /// from its own RNG stream forked from `seed` in a serial prelude, so
-  /// the result is deterministic for a given seed and independent of
-  /// DARNET_THREADS -- but it is a *different* (equally distributed)
-  /// sample than the serial single-stream generator, so the default stays
-  /// false to preserve the seed pipeline bit-for-bit.
-  bool parallel = false;
 };
 
 /// A paired multimodal dataset. Row i of every member describes sample i.

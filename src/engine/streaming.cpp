@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "parallel/pool.hpp"
 
 namespace darnet::engine {
 
@@ -18,22 +17,6 @@ std::vector<StreamingVerdict> smooth_timeline(
   for (const auto& dist : distributions) {
     out.push_back(advance(state, dist, config));
   }
-  return out;
-}
-
-std::vector<std::vector<StreamingVerdict>> smooth_timelines(
-    const std::vector<std::vector<Tensor>>& driver_timelines,
-    const StreamingConfig& config) {
-  validate(config, "smooth_timelines");
-  std::vector<std::vector<StreamingVerdict>> out(driver_timelines.size());
-  parallel::parallel_for(
-      0, static_cast<std::int64_t>(driver_timelines.size()), /*grain=*/1,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          out[static_cast<std::size_t>(i)] = smooth_timeline(
-              driver_timelines[static_cast<std::size_t>(i)], config);
-        }
-      });
   return out;
 }
 

@@ -26,28 +26,15 @@ namespace darnet::engine {
 [[nodiscard]] std::vector<StreamingVerdict> smooth_timeline(
     const std::vector<Tensor>& distributions, const StreamingConfig& config);
 
-/// Fleet-scale counterpart of smooth_timeline: one recorded timeline per
-/// driver. The EWMA recurrence is inherently sequential *within* a
-/// timeline, but drivers are independent, so timelines are sharded across
-/// the parallel::ThreadPool. Output order matches the input order and each
-/// per-driver result is identical to a smooth_timeline call on it.
-[[nodiscard]] std::vector<std::vector<StreamingVerdict>> smooth_timelines(
-    const std::vector<std::vector<Tensor>>& driver_timelines,
-    const StreamingConfig& config);
-
 /// Feeds per-timestep modality inputs through an EnsembleClassifier and
 /// maintains the temporal state (smoothed distribution, alert streak) in
 /// a SessionState.
 class StreamingClassifier {
  public:
-  /// Owning constructor; pass engine::borrow(ensemble) to keep the old
-  /// caller-owned lifetime.
+  /// Shares ownership of `ensemble`. For a caller-owned ensemble pass
+  /// engine::borrow(ensemble); it must then outlive the classifier.
   StreamingClassifier(std::shared_ptr<EnsembleClassifier> ensemble,
                       StreamingConfig config);
-
-  /// Deprecated borrowing shim: `ensemble` must outlive the classifier.
-  StreamingClassifier(EnsembleClassifier& ensemble, StreamingConfig config)
-      : StreamingClassifier(borrow(ensemble), config) {}
 
   /// One time-step: a single frame [1, 1, H, W] and IMU window
   /// [1, T, C]. Returns the smoothed verdict.

@@ -63,9 +63,10 @@ struct HttpServerConfig {
   /// Largest accepted request (head + body) in bytes; beyond it, 400.
   std::size_t max_request_bytes = 1u << 20;
   /// Clock for request-latency accounting. Null means
-  /// std::chrono::steady_clock; src/sim injects a virtual-time source so
-  /// the HTTP tier's time math is simulation-drivable (the same seam as
-  /// serve::ShardConfig::time_source).
+  /// std::chrono::steady_clock. Only tests/test_http.cpp sets it, to a
+  /// virtual-time source that makes the HTTP tier's time math
+  /// test-drivable (the same seam as serve::ShardConfig::time_source);
+  /// src/sim builds no HttpServer.
   std::shared_ptr<const serve::TimeSource> time_source;
 };
 

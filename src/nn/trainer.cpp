@@ -2,11 +2,9 @@
 
 #include <numeric>
 
-#include "check/check.hpp"
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "nn/sequential.hpp"
-#include "parallel/pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -40,137 +38,22 @@ namespace {
 using LossFn =
     std::function<LossResult(const Tensor&, std::span<const std::size_t>)>;
 
-/// One optimisation step over batch indices `idx`, computed on the master
-/// model alone. Bit-for-bit identical to the original serial trainer.
-double step_serial(Layer& model, const std::vector<Param*>& params,
-                   Optimizer& optimizer, const Tensor& x,
-                   std::span<const std::size_t> idx, const TrainConfig& cfg,
-                   const LossFn& loss_fn) {
+/// Global L2 bound on the gradient, applied before every optimizer step.
+constexpr double kGradClip = 5.0;
+
+/// One optimisation step over batch indices `idx`.
+double train_step(Layer& model, const std::vector<Param*>& params,
+                  Optimizer& optimizer, const Tensor& x,
+                  std::span<const std::size_t> idx, const LossFn& loss_fn) {
   Tensor xb = gather_rows(x, idx);
   // The minibatch is a temporary: hand the buffer to the model so caching
   // layers keep it instead of deep-copying.
   Tensor out = model.forward_moved(std::move(xb), /*training=*/true);
   LossResult lr = loss_fn(out, idx);
   model.backward(lr.grad);
-  if (cfg.grad_clip > 0.0) clip_grad_norm(params, cfg.grad_clip);
+  clip_grad_norm(params, kGradClip);
   optimizer.step(params);
   return lr.loss;
-}
-
-/// Replicas + per-replica parameter lists for the data-parallel path.
-struct ShardSet {
-  std::vector<LayerPtr> replicas;                 // shards 1..S-1
-  std::vector<std::vector<Param*>> rep_params;    // parallel to replicas
-};
-
-ShardSet build_shards(const std::vector<Param*>& params,
-                      const TrainConfig& cfg) {
-  if (!cfg.make_replica) {
-    throw std::invalid_argument("train: shards > 1 requires make_replica");
-  }
-  ShardSet set;
-  for (int s = 1; s < cfg.shards; ++s) {
-    LayerPtr replica = cfg.make_replica();
-    if (!replica) {
-      throw std::invalid_argument("train: make_replica returned null");
-    }
-    auto rp = replica->params();
-    if (rp.size() != params.size()) {
-      throw std::invalid_argument(
-          "train: replica parameter structure mismatch");
-    }
-    for (std::size_t i = 0; i < rp.size(); ++i) {
-      if (!rp[i]->value.same_shape(params[i]->value)) {
-        throw std::invalid_argument(
-            "train: replica parameter shape mismatch");
-      }
-    }
-    set.replicas.push_back(std::move(replica));
-    set.rep_params.push_back(std::move(rp));
-  }
-  return set;
-}
-
-/// One optimisation step with the minibatch split across `shard_count`
-/// contiguous shards (master = shard 0, replicas = 1..). Each shard runs a
-/// full forward/backward serially (nested kernel parallelism is inlined by
-/// the pool), so per-shard gradients are independent of the thread count;
-/// the weighted reduction below walks shards in ascending order, making the
-/// whole step deterministic for a fixed shard count.
-double step_sharded(Layer& model, const std::vector<Param*>& params,
-                    Optimizer& optimizer, const Tensor& x,
-                    std::span<const std::size_t> idx, const TrainConfig& cfg,
-                    const LossFn& loss_fn, ShardSet& shards) {
-  const std::size_t nb = idx.size();
-  const int s_eff =
-      static_cast<int>(std::min<std::size_t>(cfg.shards, nb));
-  const std::size_t per = nb / static_cast<std::size_t>(s_eff);
-  const std::size_t rem = nb % static_cast<std::size_t>(s_eff);
-  const auto shard_begin = [&](int s) {
-    const auto su = static_cast<std::size_t>(s);
-    return su * per + std::min(su, rem);
-  };
-
-  // Replicas re-read the master's parameters before every step (copy into
-  // the existing buffers; no allocation at steady state).
-  for (auto& rp : shards.rep_params) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const Tensor& src = params[i]->value;
-      std::copy(src.data(), src.data() + src.numel(), rp[i]->value.data());
-    }
-  }
-
-  std::vector<double> shard_loss(static_cast<std::size_t>(s_eff), 0.0);
-#ifdef DARNET_CHECKED
-  // Checked builds: every shard (model replica + loss slot) must be
-  // claimed by exactly one chunk, and together they cover [0, s_eff).
-  check::ShardWriteTracker tracker("step_sharded replica shards");
-#endif
-  parallel::parallel_for(
-      0, s_eff, /*grain=*/1, [&](std::int64_t s0, std::int64_t s1) {
-#ifdef DARNET_CHECKED
-        tracker.record(s0, s1);
-#endif
-        for (std::int64_t s = s0; s < s1; ++s) {
-          const std::size_t b = shard_begin(static_cast<int>(s));
-          const std::size_t e = shard_begin(static_cast<int>(s) + 1);
-          std::span<const std::size_t> sidx(idx.data() + b, e - b);
-          Layer& m = (s == 0) ? model : *shards.replicas[s - 1];
-          Tensor xb = gather_rows(x, sidx);
-          Tensor out = m.forward_moved(std::move(xb), /*training=*/true);
-          LossResult lr = loss_fn(out, sidx);
-          m.backward(lr.grad);
-          shard_loss[static_cast<std::size_t>(s)] = lr.loss;
-        }
-      });
-#ifdef DARNET_CHECKED
-  tracker.expect_exact_cover(0, s_eff);
-#endif
-
-  // Fixed-order weighted reduction: grad = sum_s (n_s / n_b) * grad_s.
-  // Shard losses/grads are means over the shard, so the weights recover the
-  // batch mean the serial path would produce.
-  const auto weight = [&](int s) {
-    return static_cast<double>(shard_begin(s + 1) - shard_begin(s)) /
-           static_cast<double>(nb);
-  };
-  for (Param* p : params) {
-    tensor::scale_inplace(p->grad, static_cast<float>(weight(0)));
-  }
-  double batch_loss = weight(0) * shard_loss[0];
-  for (int s = 1; s < s_eff; ++s) {
-    const float ws = static_cast<float>(weight(s));
-    auto& rp = shards.rep_params[static_cast<std::size_t>(s) - 1];
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      tensor::axpy(ws, rp[i]->grad, params[i]->grad);
-      rp[i]->zero_grad();
-    }
-    batch_loss += weight(s) * shard_loss[static_cast<std::size_t>(s)];
-  }
-
-  if (cfg.grad_clip > 0.0) clip_grad_norm(params, cfg.grad_clip);
-  optimizer.step(params);
-  return batch_loss;
 }
 
 /// Shared minibatch loop; `loss_fn` maps (model output, batch indices) to a
@@ -182,16 +65,11 @@ double run_epochs(Layer& model, Optimizer& optimizer, const Tensor& x,
   if (cfg.batch_size <= 0 || cfg.epochs <= 0) {
     throw std::invalid_argument("train: epochs and batch_size must be > 0");
   }
-  if (cfg.shards < 1) {
-    throw std::invalid_argument("train: shards must be >= 1");
-  }
   util::Rng rng(cfg.shuffle_seed);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
 
   const auto params = model.params();
-  ShardSet shards;
-  if (cfg.shards > 1) shards = build_shards(params, cfg);
 
   double epoch_loss = 0.0;
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -207,11 +85,7 @@ double run_epochs(Layer& model, Optimizer& optimizer, const Tensor& x,
       std::span<const std::size_t> idx(order.data() + start, end - start);
       DARNET_COUNTER_ADD("nn/train_batches_total", 1);
       DARNET_COUNTER_ADD("nn/train_samples_total", idx.size());
-      epoch_loss +=
-          cfg.shards > 1
-              ? step_sharded(model, params, optimizer, x, idx, cfg, loss_fn,
-                             shards)
-              : step_serial(model, params, optimizer, x, idx, cfg, loss_fn);
+      epoch_loss += train_step(model, params, optimizer, x, idx, loss_fn);
       ++batches;
     }
     epoch_loss /= static_cast<double>(batches);

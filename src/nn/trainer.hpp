@@ -14,24 +14,9 @@ namespace darnet::nn {
 struct TrainConfig {
   int epochs = 5;
   int batch_size = 32;
-  double grad_clip = 5.0;  // <= 0 disables clipping
   std::uint64_t shuffle_seed = 1;
   /// Optional per-epoch callback (epoch index, mean loss).
   std::function<void(int, double)> on_epoch;
-  /// Data-parallel shards per minibatch. 1 (the default) runs the exact
-  /// serial loop and is bit-for-bit reproducible against the original
-  /// single-threaded trainer at any DARNET_THREADS. Values > 1 split each
-  /// minibatch across `shards` model replicas whose gradients are reduced
-  /// in fixed (ascending-shard) order: results then depend on the shard
-  /// count but NOT on the thread count. Requires `make_replica`.
-  int shards = 1;
-  /// Factory producing architecture clones for the sharded path. Replica
-  /// parameter values are overwritten from the master model before every
-  /// step, so the factory's own initialisation does not matter -- but the
-  /// layer structure must match exactly. Stateful stochastic layers
-  /// (Dropout) draw from per-replica RNG streams, so sharded training is a
-  /// different (equally valid) sample of the same estimator.
-  std::function<LayerPtr()> make_replica;
 };
 
 /// Gather rows `indices` of `data` (along dim 0) into a new tensor.

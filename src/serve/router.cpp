@@ -13,6 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ring points per shard. More points smooth the key-space split at the
+/// cost of a larger (still binary-searched) ring.
+constexpr int kVirtualNodes = 64;
+
 /// The rules every snapshot meets, at construction and at each hot-swap:
 /// one non-null entry per shard. Entries may repeat: inference writes
 /// nothing into a model, so shards may share one.
@@ -29,14 +33,10 @@ void check_snapshot(const Router::Snapshot& snapshot, std::size_t shards) {
   }
 }
 
-[[nodiscard]] std::vector<std::unique_ptr<Server>> build_shards(
+[[nodiscard]] std::vector<std::unique_ptr<Server>> make_shards(
     Router::Snapshot& snapshot, const RouterConfig& config) {
   if (config.shards < 1) {
     throw std::invalid_argument("serve::Router: shards must be >= 1");
-  }
-  if (config.virtual_nodes < 1) {
-    throw std::invalid_argument(
-        "serve::Router: virtual_nodes must be >= 1");
   }
   check_snapshot(snapshot, static_cast<std::size_t>(config.shards));
   for (const auto& [tenant, quota] : config.quotas) {
@@ -60,12 +60,12 @@ void check_snapshot(const Router::Snapshot& snapshot, std::size_t shards) {
     const RouterConfig& config) {
   std::vector<std::pair<std::uint64_t, int>> ring;
   ring.reserve(static_cast<std::size_t>(config.shards) *
-               static_cast<std::size_t>(config.virtual_nodes));
+               static_cast<std::size_t>(kVirtualNodes));
   for (int shard = 0; shard < config.shards; ++shard) {
-    for (int node = 0; node < config.virtual_nodes; ++node) {
+    for (int node = 0; node < kVirtualNodes; ++node) {
       // Double-hash the ring into its own domain. The raw (shard, node)
       // key for shard 0 is the integer `node` itself, so a single
-      // route_hash would put every session id below virtual_nodes
+      // route_hash would put every session id below kVirtualNodes
       // bit-exactly on a shard-0 point -- the whole small-id key space
       // would collapse onto one shard.
       const std::uint64_t point = route_hash(route_hash(
@@ -95,7 +95,7 @@ void check_snapshot(const Router::Snapshot& snapshot, std::size_t shards) {
 
 Router::Router(Snapshot snapshot, RouterConfig config)
     : config_(std::move(config)),
-      shards_(build_shards(snapshot, config_)),
+      shards_(make_shards(snapshot, config_)),
       ring_(build_ring(config_)) {
   version_ = snapshot.version;
   // Through the registry, not DARNET_GAUGE_SET: /metrics reports the shard

@@ -63,9 +63,6 @@ struct TenantQuota {
 struct RouterConfig {
   /// Number of serve::Server shards (and snapshot entries).
   int shards = 1;
-  /// Ring points per shard. More points smooth the key-space split at
-  /// the cost of a larger (still binary-searched) ring.
-  int virtual_nodes = 64;
   /// Replicated per-shard serving parameters (including the TimeSource
   /// the quota buckets also refill from).
   ShardConfig shard;

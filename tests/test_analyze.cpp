@@ -175,19 +175,19 @@ TEST(AnalyzeFileRules, RequiresMarkerReportsItsOwnLine) {
             std::vector<std::string>{"sync-assert-held:2"});
 }
 
-// The exemption registry names step_sharded, not its whole file: a float
-// vector anywhere else in src/nn/trainer.cpp is still a finding.
+// The exemption registry names Sequential::verify_boundary, not its whole
+// file: a float vector anywhere else in src/nn/sequential.cpp is still a
+// finding.
 TEST(AnalyzeFileRules, HotPathAllocExemptionIsPerFunction) {
-  EXPECT_EQ(file_findings("double step_sharded() {\n"
-                          "  std::vector<double> shard_loss(4, 0.0);\n"
-                          "  return shard_loss[0];\n"
+  EXPECT_EQ(file_findings("void Sequential::verify_boundary() {\n"
+                          "  std::vector<float> observed(4, 0.0f);\n"
                           "}\n"
-                          "float predict_logits() {\n"
-                          "  std::vector<float> logits(4);\n"
-                          "  return logits[0];\n"
+                          "float Sequential::forward() {\n"
+                          "  std::vector<float> activations(4);\n"
+                          "  return activations[0];\n"
                           "}\n",
-                          "src/nn/trainer.cpp"),
-            std::vector<std::string>{"hot-path-alloc:6"});
+                          "src/nn/sequential.cpp"),
+            std::vector<std::string>{"hot-path-alloc:5"});
 }
 
 // Only semantic findings are baselinable: an entry naming a per-file,

@@ -183,7 +183,7 @@ TEST(Streaming, SmoothsAndDebounces) {
   engine::StreamingConfig cfg;
   cfg.smoothing_alpha = 0.5;
   cfg.alert_streak = 2;
-  engine::StreamingClassifier stream(ensemble, cfg);
+  engine::StreamingClassifier stream(engine::borrow(ensemble), cfg);
 
   const Tensor frame({1, 1, 2, 2});
   const Tensor window({1, 2, 2});
@@ -235,7 +235,7 @@ TEST(Streaming, ValidatesConfig) {
                                       bayes::ClassMap::darnet_default());
   engine::StreamingConfig bad;
   bad.smoothing_alpha = 0.0;
-  EXPECT_THROW(engine::StreamingClassifier(ensemble, bad),
+  EXPECT_THROW(engine::StreamingClassifier(engine::borrow(ensemble), bad),
                std::invalid_argument);
 }
 

@@ -1,16 +1,13 @@
 // Tests for the parallel execution layer: ThreadPool semantics, kernel
 // parity between serial and parallel execution, and determinism of the
-// sharded trainer / parallel data generator across thread counts.
+// trainer across thread counts at every kernel ISA.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "core/dataset.hpp"
-#include "engine/streaming.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -299,7 +296,7 @@ nn::Sequential make_model(std::uint64_t seed) {
   return model;
 }
 
-std::vector<double> train_losses(int threads, int shards) {
+std::vector<double> train_losses(int threads) {
   ThreadCountGuard guard(threads);
   util::Rng rng(23);
   const int n = 24;
@@ -313,12 +310,6 @@ std::vector<double> train_losses(int threads, int shards) {
   tc.epochs = 3;
   tc.batch_size = 8;
   tc.shuffle_seed = 5;
-  tc.shards = shards;
-  if (shards > 1) {
-    tc.make_replica = [] {
-      return std::make_unique<nn::Sequential>(make_model(7));
-    };
-  }
   std::vector<double> losses;
   tc.on_epoch = [&](int, double loss) { losses.push_back(loss); };
   nn::train_classifier(model, optimizer, x, labels, tc);
@@ -326,27 +317,9 @@ std::vector<double> train_losses(int threads, int shards) {
 }
 
 TEST(TrainerDeterminism, SerialLossCurveIdenticalAcrossThreadCounts) {
-  const auto one = train_losses(/*threads=*/1, /*shards=*/1);
-  const auto four = train_losses(/*threads=*/4, /*shards=*/1);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    ASSERT_EQ(one[i], four[i]) << "epoch " << i;  // bit-for-bit
-  }
-}
-
-TEST(TrainerDeterminism, ShardedLossCurveIdenticalAcrossThreadCounts) {
-  const auto one = train_losses(/*threads=*/1, /*shards=*/3);
-  const auto four = train_losses(/*threads=*/4, /*shards=*/3);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    ASSERT_EQ(one[i], four[i]) << "epoch " << i;  // bit-for-bit
-  }
-}
-
-TEST(TrainerDeterminism, ShardedTrainingConvergesLikeSerial) {
-  // At every ISA: the vector ISAs pack weights inside each forward, so a
-  // replica must compute with the master weights copied into it before
-  // every step, not with the weights it had at its first pass.
+  // At every ISA the build and CPU support, not only ctest's scalar one:
+  // a vector ISA may give other bits than scalar, but never other bits at
+  // another thread count.
   struct IsaGuard {
     ~IsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
   } guard;
@@ -355,35 +328,18 @@ TEST(TrainerDeterminism, ShardedTrainingConvergesLikeSerial) {
     if (!kernels::isa_supported(isa)) continue;
     SCOPED_TRACE(kernels::isa_name(isa));
     kernels::set_isa(isa);
-    const auto serial = train_losses(/*threads=*/4, /*shards=*/1);
-    const auto sharded = train_losses(/*threads=*/4, /*shards=*/2);
-    // Different reduction order => different bits, but the same
-    // estimator: losses must track closely and both must improve.
-    ASSERT_EQ(serial.size(), sharded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_NEAR(serial[i], sharded[i], 1e-3) << "epoch " << i;
+    const auto one = train_losses(/*threads=*/1);
+    const auto four = train_losses(/*threads=*/4);
+    ASSERT_EQ(one.size(), four.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      ASSERT_EQ(one[i], four[i]) << "epoch " << i;  // bit-for-bit
     }
-    EXPECT_LT(serial.back(), serial.front());
-    EXPECT_LT(sharded.back(), sharded.front());
+    EXPECT_LT(one.back(), one.front());
   }
 }
 
-TEST(TrainerDeterminism, ShardsRequireReplicaFactory) {
-  util::Rng rng(29);
-  const Tensor x = Tensor::uniform({8, 1, 12, 12}, 1.0f, rng);
-  std::vector<int> labels(8, 0);
-  nn::Sequential model = make_model(7);
-  nn::Sgd optimizer(0.05, 0.9, 0.0);
-  nn::TrainConfig tc;
-  tc.epochs = 1;
-  tc.batch_size = 4;
-  tc.shards = 2;  // no make_replica
-  EXPECT_THROW(nn::train_classifier(model, optimizer, x, labels, tc),
-               std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
-// gather_rows_into, smooth_timelines, parallel dataset generation
+// gather_rows_into
 // ---------------------------------------------------------------------------
 
 TEST(GatherRows, IntoOverloadMatchesAndReusesAllocation) {
@@ -407,59 +363,6 @@ TEST(GatherRows, IntoOverloadMatchesAndReusesAllocation) {
   Tensor fresh2 = nn::gather_rows(data, idx2);
   for (std::size_t i = 0; i < fresh2.numel(); ++i) {
     ASSERT_EQ(fresh2[i], reused[i]);
-  }
-}
-
-TEST(Streaming, SmoothTimelinesMatchesPerDriverTimeline) {
-  util::Rng rng(33);
-  engine::StreamingConfig cfg;
-  std::vector<std::vector<Tensor>> drivers;
-  for (int d = 0; d < 5; ++d) {
-    std::vector<Tensor> timeline;
-    for (int t = 0; t < 12; ++t) {
-      timeline.push_back(
-          tensor::softmax_rows(Tensor::uniform({1, 6}, 2.0f, rng)));
-    }
-    drivers.push_back(std::move(timeline));
-  }
-
-  const auto batch = engine::smooth_timelines(drivers, cfg);
-  ASSERT_EQ(batch.size(), drivers.size());
-  for (std::size_t d = 0; d < drivers.size(); ++d) {
-    const auto single = engine::smooth_timeline(drivers[d], cfg);
-    ASSERT_EQ(batch[d].size(), single.size());
-    for (std::size_t t = 0; t < single.size(); ++t) {
-      EXPECT_EQ(batch[d][t].predicted, single[t].predicted);
-      EXPECT_EQ(batch[d][t].alert, single[t].alert);
-      for (std::size_t i = 0; i < single[t].distribution.numel(); ++i) {
-        ASSERT_EQ(batch[d][t].distribution[i], single[t].distribution[i]);
-      }
-    }
-  }
-}
-
-TEST(Dataset, ParallelGenerationDeterministicAcrossThreadCounts) {
-  core::DatasetConfig cfg;
-  cfg.scale = 0.001;
-  cfg.parallel = true;
-  core::Dataset one, four;
-  {
-    ThreadCountGuard guard(1);
-    one = core::generate_dataset(cfg);
-  }
-  {
-    ThreadCountGuard guard(4);
-    four = core::generate_dataset(cfg);
-  }
-  ASSERT_EQ(one.size(), four.size());
-  EXPECT_EQ(one.labels, four.labels);
-  EXPECT_EQ(one.imu_labels, four.imu_labels);
-  EXPECT_EQ(one.driver_ids, four.driver_ids);
-  for (std::size_t i = 0; i < one.frames.numel(); ++i) {
-    ASSERT_EQ(one.frames[i], four.frames[i]) << "frame pixel " << i;
-  }
-  for (std::size_t i = 0; i < one.imu_windows.numel(); ++i) {
-    ASSERT_EQ(one.imu_windows[i], four.imu_windows[i]) << "imu value " << i;
   }
 }
 

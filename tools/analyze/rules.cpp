@@ -74,9 +74,6 @@ constexpr HotPathExempt kHotPathAllocExempt[] = {
     {"Sequential::verify_boundary",
      "entire function is #ifdef DARNET_CHECKED contract diagnostics; absent "
      "from release builds"},
-    {"step_sharded",
-     "training only: per-epoch shard loss accumulators, allocated once per "
-     "fit() epoch, never under classify_batch"},
     {"src/nn/metrics.hpp",
      "offline eval API: topk_accuracy takes caller-owned score vectors; only "
      "tests and the training loop call it"},

@@ -61,6 +61,12 @@
 #            scales recorded in EXPERIMENTS.md, so smoke accepts exit 0
 #            (gate met) or 1 (gate missed at smoke scale) and fails on
 #            anything else -- crashes, sanity aborts (exit >= 2), signals.
+#            Last, `python3 perfbench/run.py --workload all --seconds 1`
+#            builds perfbench (run.py's own Release configuration, no
+#            -Werror, into the gitignored .bench_build/) and runs its three
+#            serving workloads; it must exit 0, which run.py gives only
+#            when every workload's last stdout line parses as JSON (no
+#            nan/inf) and every verdict and request-ledger check holds.
 #
 # Usage:
 #   tools/ci/check.sh                # run every leg
@@ -276,7 +282,8 @@ run_http_smoke() {
 # bench-smoke leg: the bench tree must build and every harness must run
 # end to end. Experiment harnesses take their cheapest argv scale and may
 # miss their full-scale qualitative gates (exit 1); anything beyond that
-# (exit >= 2, crash, signal) fails the leg.
+# (exit >= 2, crash, signal) fails the leg. perfbench, the serving
+# benchmark BENCHMARK.json names, must then build and exit 0.
 run_bench_smoke() {
   leg_dir="${BUILD_ROOT}/bench-smoke"
   echo
@@ -347,6 +354,12 @@ run_bench_smoke() {
   done
   if [ "${smoke_bad}" -ne 0 ]; then
     FAILED+=("bench-smoke (run)")
+    return 1
+  fi
+  echo "=== [bench-smoke] perfbench: build + all workloads at 1 s ==="
+  if ! (cd "${ROOT}" && python3 perfbench/run.py --workload all \
+          --seconds 1); then
+    FAILED+=("bench-smoke (perfbench)")
     return 1
   fi
   PASSED+=("bench-smoke")
