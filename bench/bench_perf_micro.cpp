@@ -62,8 +62,12 @@ void BM_Conv2DTrainStep(benchmark::State& state) {
 BENCHMARK(BM_Conv2DTrainStep);
 
 void BM_Conv2DForwardDirect(benchmark::State& state) {
-  // Small plane (6x6 -> 36 output pixels) stays under the im2col dispatch
-  // threshold and exercises the direct sliding-window fallback.
+  // Small plane (6x6 -> 36 output pixels), under Conv2D::use_gemm's im2col
+  // threshold. At the scalar ISA it runs the direct sliding-window kernel
+  // (Conv2D::forward_image_direct); at AVX2 and AVX-512, like every conv
+  // but the unpadded 1x1, the register-blocked kernels::conv2d_direct,
+  // here over the padded row stride (its 6-wide rows are narrower than a
+  // vector).
   util::Rng rng(2);
   nn::Conv2D conv(8, 16, 3, 1, rng);
   const Tensor x = Tensor::uniform({4, 8, 6, 6}, 1.0f, rng);
@@ -71,9 +75,36 @@ void BM_Conv2DForwardDirect(benchmark::State& state) {
     Tensor y = conv.forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetLabel("direct-kernel fallback path");
+  state.SetLabel(std::string("6x6 plane, kernels=") +
+                 tensor::kernels::isa_name(tensor::kernels::active()));
 }
 BENCHMARK(BM_Conv2DForwardDirect);
+
+void BM_FrameCnnConv3x3(benchmark::State& state) {
+  // One of the frame CNN's nine 3x3 convs (stem, then the Inception
+  // blocks' branches at 24x24 and 12x12) at batch 1, as the serving pass
+  // runs it: padding copy included, scratch from an arena.
+  struct Shape {
+    int in, out, hw;
+  };
+  static constexpr Shape kShapes[] = {{1, 8, 48},  {4, 6, 24}, {3, 4, 24},
+                                      {4, 4, 24},  {8, 2, 24}, {7, 12, 12},
+                                      {5, 8, 12},  {8, 8, 12}, {16, 4, 12}};
+  const Shape s = kShapes[state.range(0)];
+  util::Rng rng(6);
+  nn::Conv2D conv(s.in, s.out, 3, 1, rng);
+  const Tensor x = Tensor::uniform({1, s.in, s.hw, s.hw}, 1.0f, rng);
+  tensor::Arena arena;
+  tensor::ArenaScope scope(arena);
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetLabel(std::to_string(s.in) + "->" + std::to_string(s.out) +
+                 " at " + std::to_string(s.hw) + "x" +
+                 std::to_string(s.hw));
+}
+BENCHMARK(BM_FrameCnnConv3x3)->DenseRange(0, 8);
 
 void BM_TrainEpoch(benchmark::State& state) {
   // End-to-end supervised epoch of the frame CNN on a synthetic minibatch

@@ -26,23 +26,23 @@ std::int64_t image_grain(std::int64_t flops_per_image) noexcept {
 }
 
 // Copy the in_ch input planes into a zero-bordered (h+2p) x (w+2p) layout
-// for the branch-free direct kernel. Much smaller than an im2col unfold
-// (in_ch vs in_ch*k*k copies of the plane).
+// for the branch-free direct kernel, followed by the kConvSlack zeros the
+// kernel may read past the last plane. Much smaller than an im2col unfold
+// (in_ch vs in_ch*k*k copies of the plane). One fill of the whole buffer,
+// then one copy per row: filling each border segment apart cost as much
+// again as the copy.
 void pad_planes(const float* x, int in_ch, int h, int w, int pad,
                 float* xp) {
   const int ph = h + 2 * pad, pw = w + 2 * pad;
+  std::fill(xp,
+            xp + static_cast<std::size_t>(in_ch) * ph * pw +
+                kernels::kConvSlack,
+            0.0f);
   for (int ic = 0; ic < in_ch; ++ic) {
-    const float* src = x + static_cast<std::size_t>(ic) * h * w;
-    float* dst = xp + static_cast<std::size_t>(ic) * ph * pw;
-    std::fill(dst, dst + static_cast<std::size_t>(pad) * pw, 0.0f);
-    float* row = dst + static_cast<std::size_t>(pad) * pw;
-    for (int r = 0; r < h; ++r, row += pw) {
-      std::fill(row, row + pad, 0.0f);
-      const float* srow = src + static_cast<std::size_t>(r) * w;
-      std::copy(srow, srow + w, row + pad);
-      std::fill(row + pad + w, row + pw, 0.0f);
+    float* row = xp + (static_cast<std::size_t>(ic) * ph + pad) * pw + pad;
+    for (int r = 0; r < h; ++r, row += pw, x += w) {
+      for (int c = 0; c < w; ++c) row[c] = x[c];
     }
-    std::fill(row, row + static_cast<std::size_t>(pad) * pw, 0.0f);
   }
 }
 
@@ -208,13 +208,12 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   // unfold is a pure copy for k=1, pad=0.
   const bool unit = k_ == 1 && pad_ == 0;
   const kernels::Kernels* kv = kernels::active_kernels();
-  // Vector dispatch: wide-enough spatial (k > 1) convs go to the
-  // im2col-free direct kernel -- the unfold copy costs more than it buys
-  // at these plane sizes -- while 1x1 convs keep the packed-panel GEMM
-  // (B is the input plane matrix itself, and the 4-row panels share its
-  // rows). Rows narrower than one vector stay on the GEMM path too.
-  const bool vecdirect =
-      kv != nullptr && !unit && ow >= kv->conv_min_ow;
+  // Vector dispatch: every conv but the unpadded 1x1 runs the
+  // register-blocked direct kernel, at any width -- an unfold copy costs
+  // more than it buys at these plane sizes -- while 1x1 convs keep the
+  // packed-panel GEMM (B is the input plane matrix itself, and the 4-row
+  // panels share its rows).
+  const bool vecdirect = kv != nullptr && !unit;
   // The packed-GEMM path packs W into the caller's scratch on every call,
   // so inference writes nothing into the layer (the scalar golden reads
   // weight_.value directly and never packs).
@@ -224,21 +223,21 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
     kernels::pack_rows_mr4(wts, out_ch_, patch, packed.data());
   }
   const int ph = h + 2 * pad_, pw = w + 2 * pad_;
+  // The direct kernel reads a zero-bordered copy of the image, pad 0
+  // included, since it may read kConvSlack floats past the last plane.
+  const std::size_t xpad_size =
+      static_cast<std::size_t>(in_ch_) * ph * pw + kernels::kConvSlack;
 
   if (vecdirect && n == 1) {
     tensor::Storage xpad;
-    const float* xp = in;
-    if (pad_ > 0) {
-      xpad.resize_uninit(static_cast<std::size_t>(in_ch_) * ph * pw);
-      pad_planes(in, in_ch_, h, w, pad_, xpad.data());
-      xp = xpad.data();
-    }
+    xpad.resize_uninit(xpad_size);
+    pad_planes(in, in_ch_, h, w, pad_, xpad.data());
     const std::int64_t oc_flops =
         2LL * patch * static_cast<std::int64_t>(pixels);
     parallel::parallel_for(
         0, out_ch_, image_grain(oc_flops),
         [&](std::int64_t i0, std::int64_t i1) {
-          kv->conv2d_direct(xp, wts, bias, o, static_cast<int>(i0),
+          kv->conv2d_direct(xpad.data(), wts, bias, o, static_cast<int>(i0),
                             static_cast<int>(i1), in_ch_, k_, ph, pw, oh,
                             ow);
         });
@@ -301,20 +300,14 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
           col.resize_uninit(static_cast<std::size_t>(patch) * pixels);
         }
         tensor::Storage xpad;
-        if (vecdirect && pad_ > 0) {
-          xpad.resize_uninit(static_cast<std::size_t>(in_ch_) * ph * pw);
-        }
+        if (vecdirect) xpad.resize_uninit(xpad_size);
         for (std::int64_t img = i0; img < i1; ++img) {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
           float* y = o + static_cast<std::size_t>(img) * out_img;
           if (vecdirect) {
-            const float* xp = x;
-            if (pad_ > 0) {
-              pad_planes(x, in_ch_, h, w, pad_, xpad.data());
-              xp = xpad.data();
-            }
-            kv->conv2d_direct(xp, wts, bias, y, 0, out_ch_, in_ch_, k_, ph,
-                              pw, oh, ow);
+            pad_planes(x, in_ch_, h, w, pad_, xpad.data());
+            kv->conv2d_direct(xpad.data(), wts, bias, y, 0, out_ch_, in_ch_,
+                              k_, ph, pw, oh, ow);
           } else if (gemm) {
             const float* bmat = x;
             if (!unit) {

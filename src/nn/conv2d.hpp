@@ -9,7 +9,10 @@
 // (ic, kr, kc) order as the original direct kernel, so they are
 // bit-for-bit interchangeable; batches are sharded across images on the
 // parallel::ThreadPool with per-image partial dW/db buffers reduced in
-// fixed (ascending image) order. See DESIGN.md "Threading model".
+// fixed (ascending image) order. See DESIGN.md "Threading model". At a
+// vector ISA the forward pass runs the register-blocked
+// kernels::conv2d_direct for every conv but the unpadded 1x1, which keeps
+// the packed GEMM (DESIGN.md "Kernel architecture").
 #pragma once
 
 #include "nn/layer.hpp"

@@ -35,7 +35,7 @@ struct Kernels {
   /// C[r][:] = bias[r] + sum_k packedA[r][k] * B[k][:] for r in
   /// [row0, row1), where packedA is the pack_rows_mr4 layout over `rows`
   /// total rows. Overwrite semantics fuse the bias fill into the kernel
-  /// (the im2col conv forward). Preconditions: row0 % 4 == 0 and
+  /// (the 1x1 conv forward). Preconditions: row0 % 4 == 0 and
   /// (row1 % 4 == 0 or row1 == rows) -- callers shard on panel
   /// boundaries, never mid-panel.
   void (*gemm_bias_packed)(const float* packed, const float* bias,
@@ -47,13 +47,17 @@ struct Kernels {
                        float* y, std::int64_t m0, std::int64_t m1, int k,
                        int n);
   /// Direct (im2col-free) single-image convolution for output channels
-  /// [oc0, oc1): y[oc][r][c] = bias[oc] + sum over ascending (ic, kr, kc)
-  /// of w[oc][ic][kr][kc] * xp[ic][r+kr][c+kc] -- the scalar direct
-  /// kernel's accumulation order, FMA-rounded. `xp` is the input with its
-  /// zero border already written (in_ch planes of ph x pw, where
-  /// ph = h + 2*pad); for pad == 0 the raw input is already that layout.
-  /// `wts` is the natural [out_ch][in_ch][k][k] weight layout (no
-  /// pre-pack needed).
+  /// [oc0, oc1), any k and any width: each y[oc][r][c] starts at
+  /// bias[oc] and takes acc = fma(w[oc][ic][kr][kc], xp[ic][r+kr][c+kc],
+  /// acc) once per tap in ascending (ic, kr, kc), border zeros included.
+  /// That exact sequence makes the result independent of tiling, of the
+  /// [oc0, oc1) shard and of the thread count; nothing outside those
+  /// channels' output planes is written. `xp` is the input with its zero
+  /// border already written (in_ch planes of ph x pw, ph = oh + k - 1,
+  /// pw = ow + k - 1) and must stay readable for kConvSlack floats past
+  /// its last plane: narrow planes are tiled over the padded row stride,
+  /// and a plane's last vector can overrun it. `wts` is the natural
+  /// [out_ch][in_ch][k][k] weight layout (no pre-pack needed).
   void (*conv2d_direct)(const float* xp, const float* wts, const float* bias,
                         float* y, int oc0, int oc1, int in_ch, int k,
                         int ph, int pw, int oh, int ow);
@@ -69,12 +73,11 @@ struct Kernels {
   void (*lstm_cell)(float* gates, const float* bias, const float* c_prev,
                     float* c, float* tanh_c, float* h, int rows,
                     int hidden);
-  /// Minimum output width at which conv2d_direct beats the im2col GEMM
-  /// for this ISA (one half-width vector per row). Callers fall back to
-  /// the GEMM path below it; the kernel itself stays correct for any
-  /// width.
-  int conv_min_ow;
 };
+
+/// Floats past the last input plane that conv2d_direct may read: less
+/// than one vector of the widest ISA (16 floats for AVX-512).
+inline constexpr int kConvSlack = 16;
 
 /// The active ISA: resolved once from DARNET_KERNELS + CPU detection,
 /// overridable with set_isa(). Cheap after first call (one atomic load).

@@ -3,17 +3,22 @@
 // the library never needs those flags, and the kernels are only ever
 // reached after __builtin_cpu_supports confirms the CPU. Builds to a
 // nullptr stub when the toolchain cannot target AVX2.
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
+#include <immintrin.h>
+
 #define DARNET_KERNEL_NS impl_avx2
 #define DARNET_KERNEL_WIDTH 8
+#define DARNET_KERNEL_FMADD _mm256_fmadd_ps
 #include "tensor/kernels_vec.inc"
 #undef DARNET_KERNEL_NS
 #undef DARNET_KERNEL_WIDTH
+#undef DARNET_KERNEL_FMADD
 
 namespace darnet::tensor::kernels {
 
@@ -22,7 +27,7 @@ const Kernels* avx2_kernels() {
                              &impl_avx2::gemm_bias_packed,
                              &impl_avx2::gemv_bias_wt,
                              &impl_avx2::conv2d_direct,
-                             &impl_avx2::lstm_cell, 4};
+                             &impl_avx2::lstm_cell};
   return &k;
 }
 

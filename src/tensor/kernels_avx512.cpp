@@ -2,17 +2,22 @@
 // via set_source_files_properties (src/tensor/CMakeLists.txt); reached
 // only after __builtin_cpu_supports("avx512f"). Builds to a nullptr stub
 // when the toolchain cannot target AVX-512.
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/kernels.hpp"
 
 #if defined(__AVX512F__)
 
+#include <immintrin.h>
+
 #define DARNET_KERNEL_NS impl_avx512
 #define DARNET_KERNEL_WIDTH 16
+#define DARNET_KERNEL_FMADD _mm512_fmadd_ps
 #include "tensor/kernels_vec.inc"
 #undef DARNET_KERNEL_NS
 #undef DARNET_KERNEL_WIDTH
+#undef DARNET_KERNEL_FMADD
 
 namespace darnet::tensor::kernels {
 
@@ -21,7 +26,7 @@ const Kernels* avx512_kernels() {
                              &impl_avx512::gemm_bias_packed,
                              &impl_avx512::gemv_bias_wt,
                              &impl_avx512::conv2d_direct,
-                             &impl_avx512::lstm_cell, 8};
+                             &impl_avx512::lstm_cell};
   return &k;
 }
 

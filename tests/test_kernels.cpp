@@ -9,13 +9,21 @@
 // accumulation reorder the floating-point sums, so bit equality is not
 // the contract here; *thread-count* bit equality still is, per ISA.
 //
+// The one exception is the direct conv: its contract is an exact FMA
+// sequence, so Conv2DMatchesAnFmaReferenceBitForBit holds it to a
+// reference written here, bit for bit.
+//
 // Shapes are deliberately awkward: 1x1, primes, and widths straddling
-// every tile boundary in the kernels (vector width, half, quarter,
-// scalar column tail; conv_min_ow GEMM fallback; mid-panel GEMM rows).
+// every tile boundary in the kernels (vector width and GEMM column
+// tails; the direct conv's channel-block tails, narrow-plane runs over
+// the padded row stride, the switch to row tiles and their ragged last
+// vector and row; mid-panel GEMM rows).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "engine/architectures.hpp"
@@ -83,9 +91,7 @@ TEST(Kernels, SetIsaFallsBackToSupported) {
   EXPECT_TRUE(kernels::isa_supported(got));
   EXPECT_EQ(kernels::active(), got);
   if (got != kernels::Isa::kScalar) {
-    const kernels::Kernels* kv = kernels::active_kernels();
-    ASSERT_NE(kv, nullptr);
-    EXPECT_GE(kv->conv_min_ow, 1);
+    EXPECT_NE(kernels::active_kernels(), nullptr);
   }
 }
 
@@ -132,10 +138,10 @@ TEST(Kernels, DenseForwardParity) {
 
 TEST(Kernels, Conv2DForwardParityOnAwkwardShapes) {
   IsaGuard guard;
-  // Widths cover: 1x1 outputs, conv_min_ow GEMM fallback (narrow), the
-  // direct path's full/half/quarter column strips and the scalar column
-  // tail (e.g. ow = 13 on AVX-512 = 8 + 4 + 1), plus the unit-conv
-  // (k = 1, pad = 0) packed-GEMM route used by the Inception bottlenecks.
+  // Widths cover: 1x1 outputs, narrow planes run over the padded row
+  // stride (a vector spanning two or more rows, e.g. ow = 3, 7, 13), the
+  // 24- and 48-wide row tiles, plus the unit-conv (k = 1, pad = 0)
+  // packed-GEMM route used by the Inception bottlenecks.
   struct Case {
     int in_ch, out_ch, k, pad, hw, n;
   };
@@ -154,6 +160,100 @@ TEST(Kernels, Conv2DForwardParityOnAwkwardShapes) {
     for (kernels::Isa isa : supported_vector_isas()) {
       kernels::set_isa(isa);
       expect_close(conv.forward(x, false), want, "conv2d forward");
+    }
+  }
+}
+
+/// The vector conv contract (kernels.hpp, conv2d_direct): each output
+/// starts at its bias and takes one std::fma per tap over the zero-padded
+/// input, in ascending (ic, kr, kc).
+Tensor fma_conv_reference(const Tensor& x, const Tensor& w, const Tensor& b,
+                          int pad) {
+  const int n = x.dim(0), in_ch = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int out_ch = w.dim(0), k = w.dim(2);
+  const int oh = h + 2 * pad - k + 1, ow = wd + 2 * pad - k + 1;
+  Tensor y({n, out_ch, oh, ow});
+  std::size_t out = 0;
+  for (int img = 0; img < n; ++img) {
+    for (int oc = 0; oc < out_ch; ++oc) {
+      for (int r = 0; r < oh; ++r) {
+        for (int c = 0; c < ow; ++c) {
+          float acc = b[static_cast<std::size_t>(oc)];
+          std::size_t tap = static_cast<std::size_t>(oc) * in_ch * k * k;
+          for (int ic = 0; ic < in_ch; ++ic) {
+            const std::size_t plane =
+                (static_cast<std::size_t>(img) * in_ch + ic) * h * wd;
+            for (int kr = 0; kr < k; ++kr) {
+              for (int kc = 0; kc < k; ++kc, ++tap) {
+                const int sr = r + kr - pad, sc = c + kc - pad;
+                const bool inside = sr >= 0 && sr < h && sc >= 0 && sc < wd;
+                const float xv =
+                    inside ? x[plane + static_cast<std::size_t>(sr) * wd + sc]
+                           : 0.0F;
+                acc = std::fma(w[tap], xv, acc);
+              }
+            }
+          }
+          y[out++] = acc;
+        }
+      }
+    }
+  }
+  return y;
+}
+
+TEST(Kernels, Conv2DMatchesAnFmaReferenceBitForBit) {
+  IsaGuard guard;
+  // At a vector ISA every conv but the unpadded 1x1 runs conv2d_direct,
+  // whose per-element FMA sequence is fixed; so, unlike the tolerance
+  // checks above, the result is pinned bit for bit. The shapes cross
+  // every tile edge of both vector widths: ow 1-50 (narrow runs over the
+  // padded stride, the switch to row tiles at 24, ragged last vectors and
+  // rows), pad 0-2, k 3 and 5, in_ch 1-16, out_ch 1-13 (every
+  // channel-block tail, and with 3 threads the batch-1 route shards the
+  // channels at other edges), batch 1 and 3. Among them are the frame
+  // CNN's own shapes: 48x48 1->8, 24x24 4->6, 12x12 16->4 and 7->12.
+  if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
+  struct Case {
+    int in_ch, out_ch, k, pad, hw, n;
+  };
+  const Case cases[] = {
+      {1, 1, 3, 1, 1, 1},    {1, 2, 3, 0, 3, 1},    {2, 3, 3, 1, 2, 3},
+      {9, 4, 5, 0, 5, 1},    {16, 13, 5, 2, 5, 1},  {3, 5, 3, 1, 7, 1},
+      {4, 6, 3, 1, 8, 1},    {5, 7, 5, 2, 9, 3},    {16, 4, 3, 1, 12, 1},
+      {7, 12, 3, 1, 12, 3},  {3, 10, 3, 1, 16, 1},  {2, 9, 3, 0, 17, 1},
+      {1, 11, 5, 2, 17, 1},  {8, 13, 3, 1, 23, 1},  {4, 6, 3, 1, 24, 3},
+      {8, 13, 5, 2, 24, 1},  {3, 4, 3, 1, 25, 1},   {6, 5, 5, 1, 31, 1},
+      {2, 3, 3, 1, 32, 1},   {1, 8, 3, 1, 33, 1},   {1, 8, 3, 1, 48, 1},
+      {1, 8, 3, 1, 48, 3},   {2, 2, 3, 0, 49, 1},   {3, 1, 5, 2, 49, 1},
+      {2, 5, 3, 1, 50, 1},
+  };
+  Rng rng(18);
+  for (const Case& c : cases) {
+    nn::Conv2D conv(c.in_ch, c.out_ch, c.k, c.pad, rng);
+    // A non-zero bias, so the start value is pinned too.
+    conv.params()[1]->value = Tensor::uniform({c.out_ch}, 1.0F, rng);
+    const Tensor x = Tensor::uniform({c.n, c.in_ch, c.hw, c.hw}, 1.0F, rng);
+    const Tensor want = fma_conv_reference(x, conv.params()[0]->value,
+                                           conv.params()[1]->value, c.pad);
+    for (kernels::Isa isa : supported_vector_isas()) {
+      kernels::set_isa(isa);
+      for (int threads : {1, 3}) {
+        darnet::parallel::set_thread_count(threads);
+        const Tensor got = conv.forward(x, false);
+        ASSERT_TRUE(got.same_shape(want));
+        std::size_t differ = 0;
+        for (std::size_t i = 0; i < want.numel(); ++i) {
+          differ += std::bit_cast<std::uint32_t>(got[i]) !=
+                    std::bit_cast<std::uint32_t>(want[i]);
+        }
+        EXPECT_EQ(differ, 0U)
+            << "outputs of " << want.numel() << " differ at "
+            << kernels::isa_name(isa) << " threads=" << threads << " "
+            << c.in_ch << "->" << c.out_ch << " k=" << c.k
+            << " pad=" << c.pad << " " << c.hw << "x" << c.hw
+            << " n=" << c.n;
+      }
     }
   }
 }
@@ -200,26 +300,46 @@ TEST(Kernels, LstmCellParityIncludingSaturationAndTails) {
   }
 }
 
-TEST(Kernels, ImuRnnRowsDoNotDependOnTheBatch) {
+TEST(Kernels, ModelRowsDoNotDependOnTheBatch) {
   IsaGuard guard;
   // A served verdict must equal the offline one whatever batch the
-  // request lands in: at every ISA, each row of a batch-8 pass through
-  // the paper's BiLSTM model equals that row's batch-1 pass bit for bit.
-  nn::Sequential rnn = darnet::engine::build_imu_rnn({});
+  // request lands in: at every ISA and thread count, each row of a
+  // batch-8 pass through the paper's BiLSTM model and its frame CNN
+  // equals that row's batch-1 pass bit for bit. (A batch-1 conv shards
+  // its output channels over the pool, a batch-8 conv its images.)
   Rng rng(17);
-  const Tensor batch = Tensor::uniform({8, 20, 13}, 2.0F, rng);
+  struct Model {
+    const char* name;
+    nn::Sequential net;
+    Tensor batch;
+  };
+  Model models[] = {
+      {"imu_rnn", darnet::engine::build_imu_rnn({}),
+       Tensor::uniform({8, 20, 13}, 2.0F, rng)},
+      {"frame_cnn", darnet::engine::build_frame_cnn({}),
+       Tensor::uniform({8, 1, 48, 48}, 0.5F, rng)},
+  };
   std::vector<kernels::Isa> isas = {kernels::Isa::kScalar};
   for (kernels::Isa isa : supported_vector_isas()) isas.push_back(isa);
-  for (kernels::Isa isa : isas) {
-    kernels::set_isa(isa);
-    const Tensor all = rnn.forward(batch, false);
-    const std::size_t width = all.numel() / 8;
-    for (int row = 0; row < 8; ++row) {
-      const Tensor one = rnn.forward(ops::take_row(batch, row), false);
-      ASSERT_EQ(one.numel(), width);
-      for (std::size_t j = 0; j < width; ++j) {
-        ASSERT_EQ(one[j], all[static_cast<std::size_t>(row) * width + j])
-            << kernels::isa_name(isa) << " row " << row << " col " << j;
+  for (Model& m : models) {
+    for (kernels::Isa isa : isas) {
+      kernels::set_isa(isa);
+      for (int threads : {1, 4}) {
+        darnet::parallel::set_thread_count(threads);
+        const Tensor all = m.net.forward(m.batch, false);
+        const std::size_t width = all.numel() / 8;
+        for (int row = 0; row < 8; ++row) {
+          const Tensor one = m.net.forward(ops::take_row(m.batch, row), false);
+          ASSERT_EQ(one.numel(), width);
+          for (std::size_t j = 0; j < width; ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(one[j]),
+                      std::bit_cast<std::uint32_t>(
+                          all[static_cast<std::size_t>(row) * width + j]))
+                << m.name << " " << kernels::isa_name(isa)
+                << " threads=" << threads << " row " << row << " col "
+                << j;
+          }
+        }
       }
     }
   }
