@@ -5,8 +5,9 @@
 namespace darnet::nn {
 
 Tensor ReLU::forward(const Tensor& input, bool training) {
-  Tensor out(input.shape());
-  if (training) mask_ = Tensor(input.shape());
+  // The loop below writes every element of `out` and of the mask.
+  Tensor out = Tensor::uninit(input.shape());
+  if (training) mask_ = Tensor::uninit(input.shape());
   const float* x = input.data();
   float* y = out.data();
   float* m = training ? mask_.data() : nullptr;
@@ -33,7 +34,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   if (!grad_output.same_shape(mask_)) {
     throw std::logic_error("ReLU::backward: shape mismatch with forward");
   }
-  Tensor grad_in(grad_output.shape());
+  Tensor grad_in = Tensor::uninit(grad_output.shape());
   const float* g = grad_output.data();
   const float* m = mask_.data();
   float* out = grad_in.data();
@@ -125,7 +126,7 @@ Tensor Dropout::backward(const Tensor& grad_output) {
   if (!grad_output.same_shape(mask_)) {
     throw std::logic_error("Dropout::backward: shape mismatch with forward");
   }
-  Tensor grad_in(grad_output.shape());
+  Tensor grad_in = Tensor::uninit(grad_output.shape());
   const float* g = grad_output.data();
   const float* m = mask_.data();
   float* out = grad_in.data();

@@ -25,25 +25,36 @@ std::int64_t image_grain(std::int64_t flops_per_image) noexcept {
       1, kChunkFlops / std::max<std::int64_t>(1, flops_per_image));
 }
 
-// Copy the in_ch input planes into a zero-bordered (h+2p) x (w+2p) layout
-// for the branch-free direct kernel, followed by the kConvSlack zeros the
-// kernel may read past the last plane. Much smaller than an im2col unfold
-// (in_ch vs in_ch*k*k copies of the plane). One fill of the whole buffer,
-// then one copy per row: filling each border segment apart cost as much
-// again as the copy.
-void pad_planes(const float* x, int in_ch, int h, int w, int pad,
-                float* xp) {
+// Copy `ch` planes of h x w into zero-bordered (h+2p) x (w+2p) planes,
+// each at row and column offset p, followed by `slack` zeros. The direct
+// kernels read these: much smaller than an im2col unfold (ch vs ch*k*k
+// copies of the plane). A negative p crops instead (the input gradient's
+// offset k-1-pad when pad > k-1). With a border, one fill of the whole
+// buffer, then one copy per row: filling each border segment apart cost
+// as much again as the copy. T widens to double for the weight-gradient
+// kernel.
+template <typename T>
+void pad_planes(const float* x, int ch, int h, int w, int pad, T* xp,
+                std::size_t slack) {
   const int ph = h + 2 * pad, pw = w + 2 * pad;
-  std::fill(xp,
-            xp + static_cast<std::size_t>(in_ch) * ph * pw +
-                kernels::kConvSlack,
-            0.0f);
-  for (int ic = 0; ic < in_ch; ++ic) {
-    float* row = xp + (static_cast<std::size_t>(ic) * ph + pad) * pw + pad;
-    for (int r = 0; r < h; ++r, row += pw, x += w) {
-      for (int c = 0; c < w; ++c) row[c] = x[c];
+  const std::size_t planes = static_cast<std::size_t>(ch) * ph * pw;
+  std::fill(xp + (pad > 0 ? 0 : planes), xp + planes + slack, T{0});
+  const int r0 = std::max(0, -pad), r1 = std::min(h, ph - pad);
+  const int c0 = std::max(0, -pad), c1 = std::min(w, pw - pad);
+  for (int ic = 0; ic < ch; ++ic, x += static_cast<std::size_t>(h) * w) {
+    T* row = xp + (static_cast<std::size_t>(ic) * ph + r0 + pad) * pw;
+    for (int r = r0; r < r1; ++r, row += pw) {
+      const float* src = x + static_cast<std::size_t>(r) * w;
+      for (int c = c0; c < c1; ++c) row[c + pad] = src[c];
     }
   }
+}
+
+// A scratch block viewed as doubles. Storage blocks come from malloc, so
+// they are aligned for double, and the kernels only ever access them as
+// doubles.
+double* as_doubles(tensor::Storage& s) {
+  return reinterpret_cast<double*>(s.data());
 }
 
 }  // namespace
@@ -231,7 +242,7 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   if (vecdirect && n == 1) {
     tensor::Storage xpad;
     xpad.resize_uninit(xpad_size);
-    pad_planes(in, in_ch_, h, w, pad_, xpad.data());
+    pad_planes(in, in_ch_, h, w, pad_, xpad.data(), kernels::kConvSlack);
     const std::int64_t oc_flops =
         2LL * patch * static_cast<std::int64_t>(pixels);
     parallel::parallel_for(
@@ -305,7 +316,8 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
           float* y = o + static_cast<std::size_t>(img) * out_img;
           if (vecdirect) {
-            pad_planes(x, in_ch_, h, w, pad_, xpad.data());
+            pad_planes(x, in_ch_, h, w, pad_, xpad.data(),
+                       kernels::kConvSlack);
             kv->conv2d_direct(xpad.data(), wts, bias, y, 0, out_ch_, in_ch_,
                               k_, ph, pw, oh, ow);
           } else if (gemm) {
@@ -454,9 +466,14 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
     throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
   }
 
-  Tensor grad_in(input.shape());
+  // At a vector ISA the input-gradient kernel overwrites every element;
+  // the scalar loops accumulate into zeros.
+  const kernels::Kernels* kv = kernels::active_kernels();
+  Tensor grad_in = kv != nullptr ? Tensor::uninit(input.shape())
+                                 : Tensor(input.shape());
   const float* in = input.data();
   const float* g = grad_output.data();
+  const float* wts = weight_.value.data();
   float* gi = grad_in.data();
 
   const int patch = in_ch_ * k_ * k_;
@@ -466,6 +483,19 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   const std::size_t wsize = static_cast<std::size_t>(out_ch_) * patch;
   const bool gemm = use_gemm(oh, ow);
   const bool unit = k_ == 1 && pad_ == 0;  // im2col is the identity copy
+  // The vector kernels' scratch: the image widened to double in
+  // zero-bordered planes, the output gradient transposed to pixel rows,
+  // and the output gradient in zero-bordered planes for the transposed
+  // conv.
+  const int ph = h + 2 * pad_, pw = w + 2 * pad_;
+  const int gh = h + k_ - 1, gw = w + k_ - 1;
+  const std::size_t xd_size = static_cast<std::size_t>(in_ch_) * ph * pw;
+  constexpr int kLanes = kernels::kConvGradLanes;
+  const std::size_t gt_size =
+      pixels * static_cast<std::size_t>((out_ch_ + kLanes - 1) / kLanes *
+                                        kLanes);
+  const std::size_t gp_size =
+      static_cast<std::size_t>(out_ch_) * gh * gw + kernels::kConvSlack;
 
   // Per-image partial gradients, reduced below in ascending image order so
   // the accumulated dW/db match the serial seed bit-for-bit regardless of
@@ -478,7 +508,12 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   parallel::parallel_for(
       0, n, image_grain(flops), [&](std::int64_t i0, std::int64_t i1) {
         tensor::Storage col;
-        if (gemm && !unit) {
+        tensor::Storage xd, gt, gp;
+        if (kv != nullptr) {
+          xd.resize_uninit(2 * xd_size);
+          gt.resize_uninit(gt_size);
+          gp.resize_uninit(gp_size);
+        } else if (gemm && !unit) {
           col.resize_uninit(static_cast<std::size_t>(patch) * pixels);
         }
         for (std::int64_t img = i0; img < i1; ++img) {
@@ -488,7 +523,16 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
           float* dw_out = dw_part.data() + static_cast<std::size_t>(img) * wsize;
           float* db_out =
               db_part.data() + static_cast<std::size_t>(img) * out_ch_;
-          if (gemm) {
+          if (kv != nullptr) {
+            pad_planes(x, in_ch_, h, w, pad_, as_doubles(xd), 0);
+            kv->conv2d_grad_weights(as_doubles(xd), gy, gt.data(), dw_out,
+                                    db_out, in_ch_, out_ch_, k_, ph, pw, oh,
+                                    ow);
+            pad_planes(gy, out_ch_, oh, ow, k_ - 1 - pad_, gp.data(),
+                       kernels::kConvSlack);
+            kv->conv2d_grad_input(gp.data(), wts, gx, in_ch_, out_ch_, k_,
+                                  gh, gw, h, w);
+          } else if (gemm) {
             const float* cmat = x;
             if (!unit) {
               im2col(x, h, w, oh, ow, col.data());

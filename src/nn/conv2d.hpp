@@ -12,7 +12,9 @@
 // fixed (ascending image) order. See DESIGN.md "Threading model". At a
 // vector ISA the forward pass runs the register-blocked
 // kernels::conv2d_direct for every conv but the unpadded 1x1, which keeps
-// the packed GEMM (DESIGN.md "Kernel architecture").
+// the packed GEMM, and the backward runs kernels::conv2d_grad_weights and
+// kernels::conv2d_grad_input, whose bits equal the two scalar backward
+// paths' (DESIGN.md "Kernel architecture").
 #pragma once
 
 #include "nn/layer.hpp"

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sync/sync.hpp"
@@ -27,6 +28,21 @@ std::uint64_t now_ns() noexcept {
 }
 
 namespace {
+
+/// A T constructed on first use and never destroyed: the registry, and
+/// the trace rings with their mutex, must outlive every other static. A
+/// pool worker woken by the global ThreadPool's destructor during static
+/// destruction can still register a metric (sync/lock_wait_us) or record
+/// a span, and a registry destroyed before the pool left it waiting on a
+/// dead mutex at exit. A union member is destroyed only by the union's
+/// destructor, and this one's is empty.
+template <typename T>
+union Immortal {
+  template <typename... Args>
+  explicit Immortal(Args&&... args) : value(std::forward<Args>(args)...) {}
+  ~Immortal() {}
+  T value;
+};
 
 std::size_t next_thread_slot() noexcept {
   static std::atomic<std::size_t> next{0};
@@ -271,8 +287,8 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry& registry() {
-  static MetricsRegistry instance;
-  return instance;
+  static Immortal<MetricsRegistry> instance;
+  return instance.value;
 }
 
 // -- Trace ring --------------------------------------------------------------
@@ -300,13 +316,13 @@ struct Ring {
 };
 
 sync::Mutex& trace_mu() {
-  static sync::Mutex mu{"obs/trace"};
-  return mu;
+  static Immortal<sync::Mutex> mu{"obs/trace"};
+  return mu.value;
 }
 
 std::vector<std::unique_ptr<Ring>>& trace_rings() {
-  static std::vector<std::unique_ptr<Ring>> rings;
-  return rings;
+  static Immortal<std::vector<std::unique_ptr<Ring>>> rings;
+  return rings.value;
 }
 
 Ring& local_ring() {

@@ -192,8 +192,8 @@ class MetricsRegistry {
   std::unique_ptr<Impl> impl_;  // pimpl keeps <map>/<mutex> out of here
 };
 
-/// The process-wide registry (created on first use, never destroyed
-/// before handles go away).
+/// The process-wide registry: created on first use and never destroyed,
+/// so metrics stay registrable during static destruction.
 [[nodiscard]] MetricsRegistry& registry();
 
 // -- Trace spans -------------------------------------------------------------

@@ -1,17 +1,23 @@
-// Runtime-dispatched SIMD microkernels for the GEMM/conv inference hot
-// path.
+// Runtime-dispatched SIMD microkernels: the GEMM/conv/LSTM inference
+// hot path, and the Conv2D backward pass that training runs.
 //
 // Dispatch policy (DESIGN.md "Kernel architecture"):
-//  * The scalar kernels in tensor/ops.cpp are the bit-parity golden: the
-//    determinism contract (ascending-k accumulation, disjoint output
-//    rows) is stated against them and every hard-coded golden hash in the
-//    test suite is pinned to them. ctest runs with DARNET_KERNELS=scalar.
-//  * The vector kernels here (AVX2+FMA / AVX-512F, portable
+//  * The scalar kernels in tensor/ops.cpp and the scalar Conv2D loops
+//    are the bit-parity golden: the determinism contract (ascending-k
+//    accumulation, disjoint output rows) is stated against them and
+//    every hard-coded golden hash in the test suite is pinned to them.
+//    ctest runs with DARNET_KERNELS=scalar.
+//  * The inference kernels here (AVX2+FMA / AVX-512F, portable
 //    __builtin-vector implementations compiled in per-file -m TUs) use
 //    fused multiply-add and, for dot-product shapes, lane-split
 //    accumulators -- so they are *deterministic for a fixed ISA* (thread
 //    count still cannot change results) but only tolerance-comparable to
 //    the scalar golden. test_kernels holds that parity bound.
+//  * The two Conv2D backward kernels (conv2d_grad_weights,
+//    conv2d_grad_input) are bit-equal to the scalar loops instead: they
+//    keep every gradient's order and rounding, so running them in place
+//    of the scalar backward changes no trained weight. test_kernels pins
+//    them bit for bit.
 //  * Selection: the DARNET_KERNELS environment variable (scalar | avx2 |
 //    avx512 | auto; default auto) intersected with __builtin_cpu_supports
 //    at first use; set_isa() overrides programmatically (tests, benches).
@@ -61,6 +67,38 @@ struct Kernels {
   void (*conv2d_direct)(const float* xp, const float* wts, const float* bias,
                         float* y, int oc0, int oc1, int in_ch, int k,
                         int ph, int pw, int oh, int ow);
+  /// Conv2D input gradient of one image, stride 1: the transposed direct
+  /// conv, tiled as conv2d_direct. Every gx[ic][y][x] of the h x w
+  /// planes of all in_ch channels is overwritten: it starts at +0 and
+  /// takes acc = acc + round(w[oc][ic][kr][kc] * gp[oc][y+k-1-kr][x+k-1-kc])
+  /// -- one rounded multiply and one rounded add, never an FMA -- per tap
+  /// in ascending (oc, kr, kc). That is the scalar backward's sequence,
+  /// so the result equals it bit for bit. `gp` is the output gradient
+  /// [out_ch][oh][ow] placed at row and column offset k-1-pad (cropped
+  /// where that is negative) in out_ch zeroed planes of ph x pw,
+  /// ph = h + k - 1, pw = w + k - 1, readable for kConvSlack floats past
+  /// its last plane. Precondition: finite weights -- the taps that fall
+  /// on gp's zero border add w * 0, which is +-0 and leaves the sum
+  /// unchanged only when w is finite (the scalar loops skip them).
+  /// `wts` is the natural [out_ch][in_ch][k][k] layout.
+  void (*conv2d_grad_input)(const float* gp, const float* wts, float* gx,
+                            int in_ch, int out_ch, int k, int ph, int pw,
+                            int h, int w);
+  /// Conv2D weight and bias gradients of one image, stride 1. For every
+  /// weight, acc (double, from +0) takes double(x) * double(g) over the
+  /// output pixels in ascending r*ow + c, then dw[oc][ic][kr][kc] +=
+  /// float(acc); db[oc] += float(the ascending double sum of g[oc]).
+  /// That is the scalar backward's sequence, so the result equals it bit
+  /// for bit; `+=` onto a zeroed partial also turns a -0 into +0, as
+  /// there. `xd` is the image [in_ch][h][w] widened to double in in_ch
+  /// zero-bordered planes of ph x pw (ph = oh + k - 1, pw = ow + k - 1,
+  /// the input at offset pad); border taps add 0 * g, which changes no
+  /// sum for finite g. `gy` is the output gradient [out_ch][oh][ow];
+  /// `gt` is scratch for oh*ow*ldg floats, ldg = out_ch rounded up to
+  /// kConvGradLanes (the kernel transposes gy into it).
+  void (*conv2d_grad_weights)(const double* xd, const float* gy, float* gt,
+                              float* dw, float* db, int in_ch, int out_ch,
+                              int k, int ph, int pw, int oh, int ow);
   /// One LSTM cell step over `rows` rows -- same contract as
   /// lstm_cell_serial (tensor/ops.hpp): adds `bias` to each row's
   /// [i | f | g | o] pre-activations in `gates` (rows x 4*hidden),
@@ -75,9 +113,14 @@ struct Kernels {
                     int hidden);
 };
 
-/// Floats past the last input plane that conv2d_direct may read: less
-/// than one vector of the widest ISA (16 floats for AVX-512).
+/// Floats past the last input plane that conv2d_direct and
+/// conv2d_grad_input may read: less than one vector of the widest ISA
+/// (16 floats for AVX-512).
 inline constexpr int kConvSlack = 16;
+
+/// conv2d_grad_weights transposes the output gradient to rows of this
+/// many channels (a multiple of both widths' lanes of doubles).
+inline constexpr int kConvGradLanes = 8;
 
 /// The active ISA: resolved once from DARNET_KERNELS + CPU detection,
 /// overridable with set_isa(). Cheap after first call (one atomic load).

@@ -15,10 +15,12 @@
 #define DARNET_KERNEL_NS impl_avx2
 #define DARNET_KERNEL_WIDTH 8
 #define DARNET_KERNEL_FMADD _mm256_fmadd_ps
+#define DARNET_KERNEL_WIDEN(p) _mm256_cvtps_pd(_mm_loadu_ps(p))
 #include "tensor/kernels_vec.inc"
 #undef DARNET_KERNEL_NS
 #undef DARNET_KERNEL_WIDTH
 #undef DARNET_KERNEL_FMADD
+#undef DARNET_KERNEL_WIDEN
 
 namespace darnet::tensor::kernels {
 
@@ -27,6 +29,8 @@ const Kernels* avx2_kernels() {
                              &impl_avx2::gemm_bias_packed,
                              &impl_avx2::gemv_bias_wt,
                              &impl_avx2::conv2d_direct,
+                             &impl_avx2::conv2d_grad_input,
+                             &impl_avx2::conv2d_grad_weights,
                              &impl_avx2::lstm_cell};
   return &k;
 }

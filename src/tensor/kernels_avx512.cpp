@@ -14,10 +14,14 @@
 #define DARNET_KERNEL_NS impl_avx512
 #define DARNET_KERNEL_WIDTH 16
 #define DARNET_KERNEL_FMADD _mm512_fmadd_ps
+// maskz with a full mask: the unmasked _mm512_cvtps_pd reads
+// _mm512_undefined_pd(), which GCC 12 flags under -Wmaybe-uninitialized.
+#define DARNET_KERNEL_WIDEN(p) _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p))
 #include "tensor/kernels_vec.inc"
 #undef DARNET_KERNEL_NS
 #undef DARNET_KERNEL_WIDTH
 #undef DARNET_KERNEL_FMADD
+#undef DARNET_KERNEL_WIDEN
 
 namespace darnet::tensor::kernels {
 
@@ -26,6 +30,8 @@ const Kernels* avx512_kernels() {
                              &impl_avx512::gemm_bias_packed,
                              &impl_avx512::gemv_bias_wt,
                              &impl_avx512::conv2d_direct,
+                             &impl_avx512::conv2d_grad_input,
+                             &impl_avx512::conv2d_grad_weights,
                              &impl_avx512::lstm_cell};
   return &k;
 }

@@ -258,6 +258,109 @@ TEST(Kernels, Conv2DMatchesAnFmaReferenceBitForBit) {
   }
 }
 
+/// Bit patterns of every element, for exact comparison (-0 != +0).
+std::vector<std::uint32_t> bits(const Tensor& t) {
+  std::vector<std::uint32_t> out(t.numel());
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(t[i]);
+  }
+  return out;
+}
+
+std::size_t count_differ(const std::vector<std::uint32_t>& got,
+                         const std::vector<std::uint32_t>& want) {
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) differ += got[i] != want[i];
+  return differ;
+}
+
+TEST(Kernels, Conv2DBackwardMatchesScalarBitForBit) {
+  IsaGuard guard;
+  // The vector backward kernels keep each gradient's order and rounding:
+  // a weight's double sum over ascending pixels, a gx element's rounded
+  // product then rounded add per (oc, kr, kc). So gx, dW and db equal
+  // the scalar ISA's bit for bit -- over both scalar paths (use_gemm
+  // true and false), k 1, 3 and 5 with pad 0-2 (pad > k - 1 crops the
+  // transposed conv's gradient planes), widths across the input-gradient
+  // tiles' edges (runs over the padded stride below 24 columns, row
+  // tiles and their ragged last vector above), 1-16 input channels
+  // (every tap-block split of the weight gradient) and 1-13 output
+  // channels (every lane tail of both vector widths), batch 1 and 3.
+  // Three value sets: uniform; multiples of 0.5 in [-1, 1], whose sums
+  // often cancel to exactly zero; and magnitudes near 1e-23, whose dW
+  // sums are below the float range, so float(acc) is +-0 or subnormal
+  // (a -0 must land as +0 in the zeroed partial) and whose gx products
+  // underflow.
+  if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
+  struct Case {
+    int in_ch, out_ch, k, pad, hw, n;
+  };
+  const Case cases[] = {
+      {1, 1, 1, 0, 1, 1},   {1, 2, 3, 1, 1, 1},   {2, 3, 1, 1, 5, 3},
+      {3, 5, 1, 2, 4, 1},   {2, 3, 3, 2, 3, 1},   {9, 4, 5, 0, 5, 1},
+      {16, 13, 5, 2, 5, 1}, {3, 5, 3, 1, 7, 1},   {5, 7, 5, 2, 9, 3},
+      {16, 4, 3, 1, 12, 1}, {7, 12, 3, 1, 12, 3}, {16, 8, 1, 0, 12, 1},
+      {1, 8, 3, 1, 16, 1},  {2, 9, 3, 0, 17, 1},  {1, 11, 5, 2, 17, 1},
+      {8, 13, 3, 1, 23, 1}, {8, 4, 1, 0, 24, 1},  {4, 6, 3, 1, 24, 3},
+      {3, 4, 3, 1, 25, 1},  {6, 5, 5, 1, 31, 1},  {2, 3, 3, 1, 32, 1},
+      {1, 8, 3, 1, 48, 1},  {1, 8, 3, 1, 48, 3},  {2, 2, 3, 0, 49, 1},
+      {3, 1, 5, 2, 49, 1},
+  };
+  enum class Values { kUniform, kCancelling, kTiny };
+  Rng rng(24);
+  const auto draw = [&rng](std::vector<int> shape, Values values) {
+    Tensor t = Tensor::uniform(std::move(shape), 1.0F, rng);
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+      if (values == Values::kCancelling) {
+        t[i] = std::round(t[i] * 2.0F) / 2.0F;
+      } else if (values == Values::kTiny) {
+        t[i] *= 1e-23F;
+      }
+    }
+    return t;
+  };
+  for (const Case& c : cases) {
+    for (Values values :
+         {Values::kUniform, Values::kCancelling, Values::kTiny}) {
+      nn::Conv2D conv(c.in_ch, c.out_ch, c.k, c.pad, rng);
+      const int o = c.hw + 2 * c.pad - c.k + 1;
+      conv.params()[0]->value =
+          draw({c.out_ch, c.in_ch, c.k, c.k}, values);
+      const Tensor x = draw({c.n, c.in_ch, c.hw, c.hw}, values);
+      const Tensor gy = draw({c.n, c.out_ch, o, o}, values);
+      // gx, dW and db of one backward pass, from zeroed gradients.
+      const auto run = [&] {
+        for (nn::Param* p : conv.params()) p->zero_grad();
+        conv.forward(x, true);
+        return std::vector<std::vector<std::uint32_t>>{
+            bits(conv.backward(gy)), bits(conv.params()[0]->grad),
+            bits(conv.params()[1]->grad)};
+      };
+      kernels::set_isa(kernels::Isa::kScalar);
+      darnet::parallel::set_thread_count(1);
+      const auto want = run();
+      for (kernels::Isa isa : supported_vector_isas()) {
+        kernels::set_isa(isa);
+        for (int threads : {1, 3}) {
+          darnet::parallel::set_thread_count(threads);
+          const auto got = run();
+          const char* what[] = {"gx", "dW", "db"};
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(count_differ(got[i], want[i]), 0U)
+                << what[i] << " elements of " << want[i].size()
+                << " differ at " << kernels::isa_name(isa)
+                << " threads=" << threads << " values="
+                << static_cast<int>(values) << " " << c.in_ch << "->"
+                << c.out_ch << " k=" << c.k << " pad=" << c.pad << " "
+                << c.hw << "x" << c.hw << " n=" << c.n
+                << " gemm=" << conv.use_gemm(o, o);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Kernels, LstmCellParityIncludingSaturationAndTails) {
   IsaGuard guard;
   // The vector cell evaluates sigmoid/tanh through its own expf; hold it

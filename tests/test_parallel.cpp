@@ -259,7 +259,26 @@ TEST(KernelParity, ConvIm2colMatchesDirectAndReference) {
   }
 }
 
+/// Every kernel ISA the build and CPU support, scalar first.
+std::vector<kernels::Isa> supported_isas() {
+  std::vector<kernels::Isa> out;
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                           kernels::Isa::kAvx512}) {
+    if (kernels::isa_supported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+/// RAII: restore ctest's scalar golden ISA however the test exits.
+struct ScalarIsaGuard {
+  ~ScalarIsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
+};
+
 TEST(KernelParity, ConvForwardBackwardIdenticalAcrossThreadCounts) {
+  // At every supported ISA: the vector forward and backward kernels shard
+  // differently from the scalar loops, but never give other bits at
+  // another thread count.
+  ScalarIsaGuard isa_guard;
   const auto run = [](int threads) {
     ThreadCountGuard guard(threads);
     util::Rng rng(22);
@@ -273,11 +292,15 @@ TEST(KernelParity, ConvForwardBackwardIdenticalAcrossThreadCounts) {
     out.insert(out.end(), dw.data(), dw.data() + dw.numel());
     return out;
   };
-  const auto serial = run(1);
-  const auto threaded = run(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
+  for (kernels::Isa isa : supported_isas()) {
+    SCOPED_TRACE(kernels::isa_name(isa));
+    kernels::set_isa(isa);
+    const auto serial = run(1);
+    const auto threaded = run(4);
+    ASSERT_EQ(serial.size(), threaded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
+    }
   }
 }
 
@@ -320,12 +343,8 @@ TEST(TrainerDeterminism, SerialLossCurveIdenticalAcrossThreadCounts) {
   // At every ISA the build and CPU support, not only ctest's scalar one:
   // a vector ISA may give other bits than scalar, but never other bits at
   // another thread count.
-  struct IsaGuard {
-    ~IsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
-  } guard;
-  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
-                           kernels::Isa::kAvx512}) {
-    if (!kernels::isa_supported(isa)) continue;
+  ScalarIsaGuard guard;
+  for (kernels::Isa isa : supported_isas()) {
     SCOPED_TRACE(kernels::isa_name(isa));
     kernels::set_isa(isa);
     const auto one = train_losses(/*threads=*/1);

@@ -99,6 +99,10 @@ declare -A LEG_SECONDS
 # by two orders of magnitude. Seconds land in check_summary.json.
 ANALYZE_BUDGET_S=10
 ANALYZE_RUN_SECONDS=""
+# Per-test ctest timeout: about three times the slowest test in the
+# slowest leg (EXPERIMENTS.md "CI test timeouts"), so a hung test fails
+# its leg in minutes instead of waiting out ctest's 1500 s default.
+CTEST_TIMEOUT_S=600
 
 run_leg() {
   leg_name="$1"
@@ -116,7 +120,8 @@ run_leg() {
     return 1
   fi
   echo "=== [${leg_name}] test ==="
-  if ! ctest --test-dir "${leg_dir}" --output-on-failure; then
+  if ! ctest --test-dir "${leg_dir}" --output-on-failure \
+       --timeout "${CTEST_TIMEOUT_S}"; then
     FAILED+=("${leg_name} (test)")
     return 1
   fi
@@ -434,6 +439,7 @@ run_sync_stress() {
   fi
   echo "=== [sync-stress] stress ==="
   if ! ctest --test-dir "${leg_dir}" --output-on-failure \
+       --timeout "${CTEST_TIMEOUT_S}" \
        -R '^(test_sync|test_serve|test_parallel|test_router)$' \
        --repeat until-fail:2; then
     FAILED+=("sync-stress (test)")
