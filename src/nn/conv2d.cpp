@@ -27,8 +27,8 @@ std::int64_t image_grain(std::int64_t flops_per_image) noexcept {
 
 // Copy `ch` planes of h x w into zero-bordered (h+2p) x (w+2p) planes,
 // each at row and column offset p, followed by `slack` zeros. The direct
-// kernels read these: much smaller than an im2col unfold (ch vs ch*k*k
-// copies of the plane). A negative p crops instead (the input gradient's
+// kernels read these: one copy of each plane, where an unfold would make
+// k*k. A negative p crops instead (the input gradient's
 // offset k-1-pad when pad > k-1). With a border, one fill of the whole
 // buffer, then one copy per row: filling each border segment apart cost
 // as much again as the copy. T widens to double for the weight-gradient
@@ -71,14 +71,6 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int padding,
   if (in_channels <= 0 || out_channels <= 0 || kernel <= 0 || padding < 0) {
     throw std::invalid_argument("Conv2D: invalid hyper-parameters");
   }
-}
-
-bool Conv2D::use_gemm(int oh, int ow) const noexcept {
-  // The patch matrix must be tall enough to amortise its construction and
-  // wide enough that the register-tiled GEMM kernel can stream B rows.
-  const std::int64_t patch = static_cast<std::int64_t>(in_ch_) * k_ * k_;
-  const std::int64_t pixels = static_cast<std::int64_t>(oh) * ow;
-  return patch * pixels >= 2048 && pixels >= 64;
 }
 
 void Conv2D::validate_input(const Tensor& input) const {
@@ -130,41 +122,11 @@ Tensor Conv2D::forward_moved(Tensor&& input, bool training) {
   return run_forward(input);
 }
 
-void Conv2D::im2col(const float* x, int h, int w, int oh, int ow,
-                    float* col) const {
-  const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
-  for (int ic = 0; ic < in_ch_; ++ic) {
-    const float* xplane = x + static_cast<std::size_t>(ic) * h * w;
-    for (int kr = 0; kr < k_; ++kr) {
-      for (int kc = 0; kc < k_; ++kc) {
-        float* row =
-            col + (static_cast<std::size_t>(ic) * k_ * k_ + kr * k_ + kc) *
-                      pixels;
-        const int c0 = std::max(0, pad_ - kc);
-        const int c1 = std::min(ow, w + pad_ - kc);
-        for (int r = 0; r < oh; ++r) {
-          float* dst = row + static_cast<std::size_t>(r) * ow;
-          const int sr = r + kr - pad_;
-          if (sr < 0 || sr >= h || c0 >= c1) {
-            std::fill(dst, dst + ow, 0.0f);
-            continue;
-          }
-          std::fill(dst, dst + c0, 0.0f);
-          const float* src =
-              xplane + static_cast<std::size_t>(sr) * w + (c0 + kc - pad_);
-          std::copy(src, src + (c1 - c0), dst + c0);
-          std::fill(dst + c1, dst + ow, 0.0f);
-        }
-      }
-    }
-  }
-}
-
 void Conv2D::forward_image_direct(const float* x, int h, int w, int oh,
-                                  int ow, float* y) const {
+                                  int ow, float* y, int oc0, int oc1) const {
   const float* wts = weight_.value.data();
   const float* bias = bias_.value.data();
-  for (int oc = 0; oc < out_ch_; ++oc) {
+  for (int oc = oc0; oc < oc1; ++oc) {
     float* yplane = y + static_cast<std::size_t>(oc) * oh * ow;
     std::fill(yplane, yplane + static_cast<std::size_t>(oh) * ow, bias[oc]);
     for (int ic = 0; ic < in_ch_; ++ic) {
@@ -212,84 +174,50 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
   const std::size_t in_img = static_cast<std::size_t>(in_ch_) * h * w;
   const std::size_t out_img = static_cast<std::size_t>(out_ch_) * pixels;
-  const bool gemm = use_gemm(oh, ow);
-  // A 1x1 unpadded conv's patch matrix *is* the input plane matrix
-  // ([in_ch, h*w] row-major -- exactly what im2col would copy out), so
-  // both paths feed the GEMM the input directly. Bit-identical: the
-  // unfold is a pure copy for k=1, pad=0.
-  const bool unit = k_ == 1 && pad_ == 0;
   const kernels::Kernels* kv = kernels::active_kernels();
-  // Vector dispatch: every conv but the unpadded 1x1 runs the
-  // register-blocked direct kernel, at any width -- an unfold copy costs
-  // more than it buys at these plane sizes -- while 1x1 convs keep the
-  // packed-panel GEMM (B is the input plane matrix itself, and the 4-row
-  // panels share its rows).
-  const bool vecdirect = kv != nullptr && !unit;
-  // The packed-GEMM path packs W into the caller's scratch on every call,
-  // so inference writes nothing into the layer (the scalar golden reads
-  // weight_.value directly and never packs).
-  tensor::Storage packed;
-  if (kv != nullptr && gemm && !vecdirect) {
-    packed.resize_uninit(static_cast<std::size_t>(out_ch_) * patch);
-    kernels::pack_rows_mr4(wts, out_ch_, patch, packed.data());
-  }
+  // The shape picks the algorithm, the ISA only the kernel. An unpadded
+  // 1x1 conv is one GEMM, W [out_ch, in_ch] times the image's plane
+  // matrix [in_ch, h*w], on the row kernel matmul uses. Every other conv
+  // runs conv2d_direct at a vector ISA, which reads a zero-bordered copy
+  // of the image (pad 0 included: it may read kConvSlack floats past the
+  // last plane), and the scalar direct loop otherwise.
+  const bool unit = k_ == 1 && pad_ == 0;
+  const auto rows_fn = kv != nullptr ? kv->gemm_rows : &tensor::gemm_rows_serial;
+  const bool padded = kv != nullptr && !unit;
   const int ph = h + 2 * pad_, pw = w + 2 * pad_;
-  // The direct kernel reads a zero-bordered copy of the image, pad 0
-  // included, since it may read kConvSlack floats past the last plane.
   const std::size_t xpad_size =
       static_cast<std::size_t>(in_ch_) * ph * pw + kernels::kConvSlack;
 
-  if (vecdirect && n == 1) {
-    tensor::Storage xpad;
-    xpad.resize_uninit(xpad_size);
-    pad_planes(in, in_ch_, h, w, pad_, xpad.data(), kernels::kConvSlack);
-    const std::int64_t oc_flops =
-        2LL * patch * static_cast<std::int64_t>(pixels);
-    parallel::parallel_for(
-        0, out_ch_, image_grain(oc_flops),
-        [&](std::int64_t i0, std::int64_t i1) {
-          kv->conv2d_direct(xpad.data(), wts, bias, o, static_cast<int>(i0),
-                            static_cast<int>(i1), in_ch_, k_, ph, pw, oh,
-                            ow);
-        });
-    return out;
-  }
+  // Output channels [oc0, oc1) of one image; x is the image, or its
+  // zero-bordered copy when `padded`.
+  const auto image = [&](const float* x, float* y, int oc0, int oc1) {
+    if (unit) {
+      for (int oc = oc0; oc < oc1; ++oc) {
+        std::fill(y + oc * pixels, y + (oc + 1) * pixels, bias[oc]);
+      }
+      rows_fn(wts, x, y, oc0, oc1, in_ch_, static_cast<int>(pixels));
+    } else if (kv != nullptr) {
+      kv->conv2d_direct(x, wts, bias, y, oc0, oc1, in_ch_, k_, ph, pw, oh,
+                        ow);
+    } else {
+      forward_image_direct(x, h, w, oh, ow, y, oc0, oc1);
+    }
+  };
 
-  if (gemm && !vecdirect && n == 1) {
-    // Single image (the streaming-inference hot path): unfold once, then
-    // shard the GEMM's disjoint output rows across the pool.
-    tensor::Storage col;
-    const float* bmat = in;
-    if (!unit) {
-      col.resize_uninit(static_cast<std::size_t>(patch) * pixels);
-      im2col(in, h, w, oh, ow, col.data());
-      bmat = col.data();
-    }
-    const std::int64_t row_flops =
-        2LL * patch * static_cast<std::int64_t>(pixels);
-    if (kv != nullptr) {
-      // Vector path: bias is folded into the packed-GEMM accumulators;
-      // shard on 4-row panel boundaries (the kernel's precondition).
-      const std::int64_t panels = (out_ch_ + 3) / 4;
-      parallel::parallel_for(
-          0, panels, image_grain(4 * row_flops),
-          [&](std::int64_t p0, std::int64_t p1) {
-            kv->gemm_bias_packed(packed.data(), bias, bmat, o,
-                                 static_cast<int>(4 * p0),
-                                 std::min(out_ch_, static_cast<int>(4 * p1)),
-                                 out_ch_, patch, static_cast<int>(pixels));
-          });
-      return out;
+  if (n == 1) {
+    // Single image (the streaming-inference hot path): shard the output
+    // channels, which every path computes independently.
+    tensor::Storage xpad;
+    const float* x = in;
+    if (padded) {
+      xpad.resize_uninit(xpad_size);
+      pad_planes(in, in_ch_, h, w, pad_, xpad.data(), kernels::kConvSlack);
+      x = xpad.data();
     }
     parallel::parallel_for(
-        0, out_ch_, image_grain(row_flops),
+        0, out_ch_, image_grain(2LL * patch * static_cast<std::int64_t>(pixels)),
         [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t oc = i0; oc < i1; ++oc) {
-            std::fill(o + oc * pixels, o + (oc + 1) * pixels,
-                      bias[static_cast<std::size_t>(oc)]);
-          }
-          tensor::gemm_rows_serial(wts, bmat, o, i0, i1, patch,
-                                   static_cast<int>(pixels));
+          image(x, o, static_cast<int>(i0), static_cast<int>(i1));
         });
     return out;
   }
@@ -306,40 +234,16 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
 #ifdef DARNET_CHECKED
         tracker.record(i0, i1);
 #endif
-        tensor::Storage col;
-        if (gemm && !unit && !vecdirect) {
-          col.resize_uninit(static_cast<std::size_t>(patch) * pixels);
-        }
         tensor::Storage xpad;
-        if (vecdirect) xpad.resize_uninit(xpad_size);
+        if (padded) xpad.resize_uninit(xpad_size);
         for (std::int64_t img = i0; img < i1; ++img) {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
-          float* y = o + static_cast<std::size_t>(img) * out_img;
-          if (vecdirect) {
+          if (padded) {
             pad_planes(x, in_ch_, h, w, pad_, xpad.data(),
                        kernels::kConvSlack);
-            kv->conv2d_direct(xpad.data(), wts, bias, y, 0, out_ch_, in_ch_,
-                              k_, ph, pw, oh, ow);
-          } else if (gemm) {
-            const float* bmat = x;
-            if (!unit) {
-              im2col(x, h, w, oh, ow, col.data());
-              bmat = col.data();
-            }
-            if (kv != nullptr) {
-              kv->gemm_bias_packed(packed.data(), bias, bmat, y, 0,
-                                   out_ch_, out_ch_, patch,
-                                   static_cast<int>(pixels));
-            } else {
-              for (int oc = 0; oc < out_ch_; ++oc) {
-                std::fill(y + oc * pixels, y + (oc + 1) * pixels, bias[oc]);
-              }
-              tensor::gemm_rows_serial(wts, bmat, y, 0, out_ch_, patch,
-                                       static_cast<int>(pixels));
-            }
-          } else {
-            forward_image_direct(x, h, w, oh, ow, y);
+            x = xpad.data();
           }
+          image(x, o + static_cast<std::size_t>(img) * out_img, 0, out_ch_);
         }
       });
 #ifdef DARNET_CHECKED
@@ -396,74 +300,21 @@ void Conv2D::backward_image_direct(const float* x, const float* gy,
   }
 }
 
-void Conv2D::backward_image_gemm(const float* col, const float* gy,
-                                 float* gx, int h, int w, int oh, int ow,
-                                 float* dw_out, float* db_out) const {
-  const float* wts = weight_.value.data();
-  const int patch = in_ch_ * k_ * k_;
-  const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
-
-  // dW and db from the unfolded patch matrix. Each (oc, patch-row) pair is
-  // a dot product over pixels in ascending order with a double accumulator
-  // -- exactly the direct kernel's `wacc` sweep, with the padding zeros now
-  // contributing 0.0 terms that leave the accumulator bits unchanged.
-  for (int oc = 0; oc < out_ch_; ++oc) {
-    const float* gplane = gy + static_cast<std::size_t>(oc) * pixels;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < pixels; ++i) acc += gplane[i];
-    db_out[oc] += static_cast<float>(acc);
-
-    for (int kidx = 0; kidx < patch; ++kidx) {
-      const float* crow = col + static_cast<std::size_t>(kidx) * pixels;
-      double wacc = 0.0;
-      for (std::size_t p = 0; p < pixels; ++p) {
-        wacc += static_cast<double>(crow[p]) * gplane[p];
-      }
-      dw_out[static_cast<std::size_t>(oc) * patch + kidx] +=
-          static_cast<float>(wacc);
-    }
-  }
-
-  // dX stays on the direct kernel: a col2im of W^T * gY would regroup the
-  // per-element sums (oc-major instead of the (oc, kr, kc) sweep) and break
-  // bitwise reproducibility against the serial seed.
-  for (int oc = 0; oc < out_ch_; ++oc) {
-    const float* gplane = gy + static_cast<std::size_t>(oc) * pixels;
-    for (int ic = 0; ic < in_ch_; ++ic) {
-      float* gxplane = gx + static_cast<std::size_t>(ic) * h * w;
-      const std::size_t kbase =
-          (static_cast<std::size_t>(oc) * in_ch_ + ic) * k_ * k_;
-      for (int kr = 0; kr < k_; ++kr) {
-        for (int kc = 0; kc < k_; ++kc) {
-          const int r0 = std::max(0, pad_ - kr);
-          const int r1 = std::min(oh, h + pad_ - kr);
-          const int c0 = std::max(0, pad_ - kc);
-          const int c1 = std::min(ow, w + pad_ - kc);
-          const float kv = wts[kbase + kr * k_ + kc];
-          for (int r = r0; r < r1; ++r) {
-            float* gxrow =
-                gxplane + static_cast<std::size_t>(r + kr - pad_) * w +
-                (c0 + kc - pad_);
-            const float* grow =
-                gplane + static_cast<std::size_t>(r) * ow + c0;
-            const int len = c1 - c0;
-            for (int c = 0; c < len; ++c) gxrow[c] += kv * grow[c];
-          }
-        }
-      }
-    }
-  }
-}
-
 Tensor Conv2D::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) {
     throw std::logic_error("Conv2D::backward before forward(training=true)");
   }
   const Tensor& input = cached_input_;
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const int oh = grad_output.dim(2), ow = grad_output.dim(3);
-  if (grad_output.dim(0) != n || grad_output.dim(1) != out_ch_) {
-    throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
+  const int oh = h + 2 * pad_ - k_ + 1;
+  const int ow = w + 2 * pad_ - k_ + 1;
+  // The kernels size their scratch from the cached input and read the
+  // gradient at that shape, so any other one is refused.
+  if (grad_output.shape() != tensor::Shape{n, out_ch_, oh, ow}) {
+    throw std::invalid_argument(
+        "Conv2D::backward: expected gradient [" + std::to_string(n) + ", " +
+        std::to_string(out_ch_) + ", " + std::to_string(oh) + ", " +
+        std::to_string(ow) + "], got " + grad_output.shape_string());
   }
 
   // At a vector ISA the input-gradient kernel overwrites every element;
@@ -481,8 +332,6 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   const std::size_t in_img = static_cast<std::size_t>(in_ch_) * h * w;
   const std::size_t out_img = static_cast<std::size_t>(out_ch_) * pixels;
   const std::size_t wsize = static_cast<std::size_t>(out_ch_) * patch;
-  const bool gemm = use_gemm(oh, ow);
-  const bool unit = k_ == 1 && pad_ == 0;  // im2col is the identity copy
   // The vector kernels' scratch: the image widened to double in
   // zero-bordered planes, the output gradient transposed to pixel rows,
   // and the output gradient in zero-bordered planes for the transposed
@@ -507,14 +356,11 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
       4LL * out_ch_ * patch * static_cast<std::int64_t>(pixels);
   parallel::parallel_for(
       0, n, image_grain(flops), [&](std::int64_t i0, std::int64_t i1) {
-        tensor::Storage col;
         tensor::Storage xd, gt, gp;
         if (kv != nullptr) {
           xd.resize_uninit(2 * xd_size);
           gt.resize_uninit(gt_size);
           gp.resize_uninit(gp_size);
-        } else if (gemm && !unit) {
-          col.resize_uninit(static_cast<std::size_t>(patch) * pixels);
         }
         for (std::int64_t img = i0; img < i1; ++img) {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
@@ -532,14 +378,6 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
                        kernels::kConvSlack);
             kv->conv2d_grad_input(gp.data(), wts, gx, in_ch_, out_ch_, k_,
                                   gh, gw, h, w);
-          } else if (gemm) {
-            const float* cmat = x;
-            if (!unit) {
-              im2col(x, h, w, oh, ow, col.data());
-              cmat = col.data();
-            }
-            backward_image_gemm(cmat, gy, gx, h, w, oh, ow, dw_out,
-                                db_out);
           } else {
             backward_image_direct(x, gy, gx, h, w, oh, ow, dw_out, db_out);
           }

@@ -1,7 +1,6 @@
 #include "tensor/kernels.hpp"
 
 #include <atomic>
-#include <cstddef>
 #include <cstdlib>
 #include <string_view>
 
@@ -108,28 +107,5 @@ const char* isa_name(Isa isa) noexcept {
 }
 
 const Kernels* active_kernels() noexcept { return table_for(active()); }
-
-void pack_rows_mr4(const float* a, int rows, int k, float* packed) {
-  const int full = rows & ~3;
-  for (int p = 0; p < full; p += 4) {
-    const float* r0 = a + static_cast<std::size_t>(p) * k;
-    const float* r1 = r0 + k;
-    const float* r2 = r1 + k;
-    const float* r3 = r2 + k;
-    float* out = packed + static_cast<std::size_t>(p) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      out[static_cast<std::size_t>(kk) * 4 + 0] = r0[kk];
-      out[static_cast<std::size_t>(kk) * 4 + 1] = r1[kk];
-      out[static_cast<std::size_t>(kk) * 4 + 2] = r2[kk];
-      out[static_cast<std::size_t>(kk) * 4 + 3] = r3[kk];
-    }
-  }
-  float* tail = packed + static_cast<std::size_t>(full) * k;
-  for (int r = full; r < rows; ++r) {
-    const float* src = a + static_cast<std::size_t>(r) * k;
-    float* dst = tail + static_cast<std::size_t>(r - full) * k;
-    for (int kk = 0; kk < k; ++kk) dst[kk] = src[kk];
-  }
-}
 
 }  // namespace darnet::tensor::kernels

@@ -38,21 +38,12 @@ struct Kernels {
   /// (A is MxK, B is KxN, C is MxN), ascending-k per element.
   void (*gemm_rows)(const float* a, const float* b, float* c,
                     std::int64_t i0, std::int64_t i1, int k, int n);
-  /// C[r][:] = bias[r] + sum_k packedA[r][k] * B[k][:] for r in
-  /// [row0, row1), where packedA is the pack_rows_mr4 layout over `rows`
-  /// total rows. Overwrite semantics fuse the bias fill into the kernel
-  /// (the 1x1 conv forward). Preconditions: row0 % 4 == 0 and
-  /// (row1 % 4 == 0 or row1 == rows) -- callers shard on panel
-  /// boundaries, never mid-panel.
-  void (*gemm_bias_packed)(const float* packed, const float* bias,
-                           const float* b, float* c, int row0, int row1,
-                           int rows, int k, int n);
   /// y[i][j] = bias[j] + dot(x[i], wt[j]) for i in [m0, m1), j in [0, n)
   /// with wt row-major [n][k] (the packed Dense layout: W transposed).
   void (*gemv_bias_wt)(const float* x, const float* wt, const float* bias,
                        float* y, std::int64_t m0, std::int64_t m1, int k,
                        int n);
-  /// Direct (im2col-free) single-image convolution for output channels
+  /// Direct single-image convolution for output channels
   /// [oc0, oc1), any k and any width: each y[oc][r][c] starts at
   /// bias[oc] and takes acc = fma(w[oc][ic][kr][kc], xp[ic][r+kr][c+kc],
   /// acc) once per tap in ascending (ic, kr, kc), border zeros included.
@@ -138,11 +129,5 @@ Isa set_isa(Isa isa) noexcept;
 /// Kernel table for the active ISA, or nullptr when scalar -- callers
 /// branch once and fall back to the scalar reference path.
 [[nodiscard]] const Kernels* active_kernels() noexcept;
-
-/// Panel-pack `rows` x `k` row-major A for gemm_bias_packed: full panels
-/// of 4 rows interleaved k-major (packed[p*4*k + kk*4 + r]), remaining
-/// rows appended row-major. `packed` must hold rows*k floats. The layout
-/// is ISA-independent (both vector widths broadcast from it).
-void pack_rows_mr4(const float* a, int rows, int k, float* packed);
 
 }  // namespace darnet::tensor::kernels

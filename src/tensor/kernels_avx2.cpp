@@ -26,7 +26,6 @@ namespace darnet::tensor::kernels {
 
 const Kernels* avx2_kernels() {
   static constexpr Kernels k{&impl_avx2::gemm_rows,
-                             &impl_avx2::gemm_bias_packed,
                              &impl_avx2::gemv_bias_wt,
                              &impl_avx2::conv2d_direct,
                              &impl_avx2::conv2d_grad_input,

@@ -27,7 +27,6 @@ namespace darnet::tensor::kernels {
 
 const Kernels* avx512_kernels() {
   static constexpr Kernels k{&impl_avx512::gemm_rows,
-                             &impl_avx512::gemm_bias_packed,
                              &impl_avx512::gemv_bias_wt,
                              &impl_avx512::conv2d_direct,
                              &impl_avx512::conv2d_grad_input,

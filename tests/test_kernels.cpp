@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "engine/architectures.hpp"
@@ -140,8 +141,8 @@ TEST(Kernels, Conv2DForwardParityOnAwkwardShapes) {
   IsaGuard guard;
   // Widths cover: 1x1 outputs, narrow planes run over the padded row
   // stride (a vector spanning two or more rows, e.g. ow = 3, 7, 13), the
-  // 24- and 48-wide row tiles, plus the unit-conv (k = 1, pad = 0)
-  // packed-GEMM route used by the Inception bottlenecks.
+  // 24- and 48-wide row tiles, plus the unit-conv (k = 1, pad = 0) GEMM
+  // route used by the Inception bottlenecks.
   struct Case {
     int in_ch, out_ch, k, pad, hw, n;
   };
@@ -279,13 +280,13 @@ TEST(Kernels, Conv2DBackwardMatchesScalarBitForBit) {
   // The vector backward kernels keep each gradient's order and rounding:
   // a weight's double sum over ascending pixels, a gx element's rounded
   // product then rounded add per (oc, kr, kc). So gx, dW and db equal
-  // the scalar ISA's bit for bit -- over both scalar paths (use_gemm
-  // true and false), k 1, 3 and 5 with pad 0-2 (pad > k - 1 crops the
-  // transposed conv's gradient planes), widths across the input-gradient
-  // tiles' edges (runs over the padded stride below 24 columns, row
-  // tiles and their ragged last vector above), 1-16 input channels
-  // (every tap-block split of the weight gradient) and 1-13 output
-  // channels (every lane tail of both vector widths), batch 1 and 3.
+  // the scalar ISA's bit for bit -- over k 1, 3 and 5 with pad 0-2
+  // (pad > k - 1 crops the transposed conv's gradient planes), widths
+  // across the input-gradient tiles' edges (runs over the padded stride
+  // below 24 columns, row tiles and their ragged last vector above),
+  // 1-16 input channels (every tap-block split of the weight gradient)
+  // and 1-13 output channels (every lane tail of both vector widths),
+  // batch 1 and 3.
   // Three value sets: uniform; multiples of 0.5 in [-1, 1], whose sums
   // often cancel to exactly zero; and magnitudes near 1e-23, whose dW
   // sums are below the float range, so float(acc) is +-0 or subnormal
@@ -352,12 +353,34 @@ TEST(Kernels, Conv2DBackwardMatchesScalarBitForBit) {
                 << " threads=" << threads << " values="
                 << static_cast<int>(values) << " " << c.in_ch << "->"
                 << c.out_ch << " k=" << c.k << " pad=" << c.pad << " "
-                << c.hw << "x" << c.hw << " n=" << c.n
-                << " gemm=" << conv.use_gemm(o, o);
+                << c.hw << "x" << c.hw << " n=" << c.n;
           }
         }
       }
     }
+  }
+}
+
+TEST(Kernels, Conv2DBackwardRejectsAMisshapenGradient) {
+  IsaGuard guard;
+  // The backward sizes its scratch from the cached input and reads the
+  // gradient at the output shape that input gives, so at every ISA a
+  // gradient of any other shape is refused, not read out of bounds.
+  std::vector<kernels::Isa> isas{kernels::Isa::kScalar};
+  for (kernels::Isa isa : supported_vector_isas()) isas.push_back(isa);
+  Rng rng(25);
+  nn::Conv2D conv(2, 3, 3, 1, rng);
+  const Tensor x = Tensor::uniform({1, 2, 8, 8}, 1.0F, rng);
+  for (kernels::Isa isa : isas) {
+    kernels::set_isa(isa);
+    conv.forward(x, true);
+    for (const Tensor& gy :
+         {Tensor({1, 3, 5, 5}), Tensor({1, 3, 40, 40}), Tensor({3, 8, 8})}) {
+      EXPECT_THROW(conv.backward(gy), std::invalid_argument)
+          << kernels::isa_name(isa) << " " << gy.shape_string();
+    }
+    EXPECT_NO_THROW(conv.backward(Tensor({1, 3, 8, 8})))
+        << kernels::isa_name(isa);
   }
 }
 
@@ -481,10 +504,11 @@ TEST(Kernels, ThreadCountCannotChangeResults) {
 
 TEST(Kernels, PackedWeightsFollowParamMutation) {
   IsaGuard guard;
-  // The vector paths pack weights (Dense's W^T, the 1x1 Conv2D's GEMM
-  // panels) on every forward, so a weight written straight into
-  // Param::value, with no notification, shows in the very next forward,
-  // as it does on the scalar path that never packs.
+  // Dense's vector path packs W^T on every forward, so a weight written
+  // straight into Param::value, with no notification, shows in the very
+  // next forward, as it does on the scalar path that never packs. Only
+  // Dense packs; the 1x1 conv, which reads its weights where they are,
+  // is held to the same rule.
   if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
   const auto follows = [](kernels::Isa isa, nn::Layer& layer,
                           const Tensor& x, const char* what) {
@@ -505,7 +529,6 @@ TEST(Kernels, PackedWeightsFollowParamMutation) {
     nn::Dense dense(9, 4, rng);
     follows(isa, dense, Tensor::uniform({3, 9}, 1.0F, rng), "dense");
     nn::Conv2D conv(8, 5, 1, 0, rng);
-    ASSERT_TRUE(conv.use_gemm(16, 16));  // the packed-GEMM path
     follows(isa, conv, Tensor::uniform({2, 8, 16, 16}, 1.0F, rng),
             "1x1 conv");
   }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -240,21 +241,24 @@ Tensor naive_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   return y;
 }
 
-TEST(KernelParity, ConvIm2colMatchesDirectAndReference) {
+TEST(KernelParity, ConvMatchesNaiveReference) {
+  // A 3x3 conv (the direct loop) on a large and a small plane, and an
+  // unpadded 1x1 (the GEMM row kernel), against the textbook loop.
   util::Rng rng(21);
-  nn::Conv2D conv(8, 16, 3, 1, rng);
-  // 24x24 output plane: im2col+GEMM path. 6x6: direct fallback.
-  ASSERT_TRUE(conv.use_gemm(24, 24));
-  ASSERT_FALSE(conv.use_gemm(6, 6));
-
+  nn::Conv2D conv3(8, 16, 3, 1, rng);
+  nn::Conv2D conv1(8, 5, 1, 0, rng);
+  const std::pair<nn::Conv2D*, int> convs[] = {{&conv3, 1}, {&conv1, 0}};
   for (const int size : {24, 6}) {
-    const Tensor x = Tensor::uniform({3, 8, size, size}, 1.0f, rng);
-    Tensor y = conv.forward(x, false);
-    const Tensor want = naive_conv2d(
-        x, conv.params()[0]->value, conv.params()[1]->value, 1);
-    ASSERT_TRUE(y.same_shape(want));
-    for (std::size_t i = 0; i < want.numel(); ++i) {
-      ASSERT_NEAR(y[i], want[i], 1e-5f) << "size " << size << " elem " << i;
+    for (const auto& [conv, pad] : convs) {
+      const Tensor x = Tensor::uniform({3, 8, size, size}, 1.0f, rng);
+      Tensor y = conv->forward(x, false);
+      const Tensor want = naive_conv2d(x, conv->params()[0]->value,
+                                       conv->params()[1]->value, pad);
+      ASSERT_TRUE(y.same_shape(want));
+      for (std::size_t i = 0; i < want.numel(); ++i) {
+        ASSERT_NEAR(y[i], want[i], 1e-5f)
+            << "pad " << pad << " size " << size << " elem " << i;
+      }
     }
   }
 }
