@@ -3,6 +3,7 @@
 // the library never needs those flags, and the kernels are only ever
 // reached after __builtin_cpu_supports confirms the CPU. Builds to a
 // nullptr stub when the toolchain cannot target AVX2.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 

@@ -2,6 +2,7 @@
 // via set_source_files_properties (src/tensor/CMakeLists.txt); reached
 // only after __builtin_cpu_supports("avx512f"). Builds to a nullptr stub
 // when the toolchain cannot target AVX-512.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 

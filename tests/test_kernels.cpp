@@ -9,9 +9,11 @@
 // accumulation reorder the floating-point sums, so bit equality is not
 // the contract here; *thread-count* bit equality still is, per ISA.
 //
-// The one exception is the direct conv: its contract is an exact FMA
-// sequence, so Conv2DMatchesAnFmaReferenceBitForBit holds it to a
-// reference written here, bit for bit.
+// The exceptions are the kernels whose contract is an exact sequence:
+// matmul's GEMM row kernel and the conv forward are held to FMA
+// references written here (MatmulParityOnAwkwardShapes,
+// Conv2DMatchesAnFmaReferenceBitForBit), and the conv backward to the
+// scalar ISA (Conv2DBackwardMatchesScalarBitForBit), bit for bit.
 //
 // Shapes are deliberately awkward: 1x1, primes, and widths straddling
 // every tile boundary in the kernels (vector width and GEMM column
@@ -75,6 +77,22 @@ void expect_close(const Tensor& got, const Tensor& want, const char* what) {
   }
 }
 
+/// Bit patterns of every element, for exact comparison (-0 != +0).
+std::vector<std::uint32_t> bits(const Tensor& t) {
+  std::vector<std::uint32_t> out(t.numel());
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(t[i]);
+  }
+  return out;
+}
+
+std::size_t count_differ(const std::vector<std::uint32_t>& got,
+                         const std::vector<std::uint32_t>& want) {
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) differ += got[i] != want[i];
+  return differ;
+}
+
 TEST(Kernels, ScalarAlwaysSupportedAndHasNoTable) {
   IsaGuard guard;
   EXPECT_TRUE(kernels::isa_supported(kernels::Isa::kScalar));
@@ -96,10 +114,30 @@ TEST(Kernels, SetIsaFallsBackToSupported) {
   }
 }
 
+/// matmul's vector contract (kernels.hpp, gemm_rows): each element
+/// starts at +0 and takes one std::fma per k, ascending.
+Tensor fma_matmul_reference(const Tensor& a, const Tensor& b) {
+  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor c({m, n});
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float acc = 0.0F;
+      for (int kk = 0; kk < k; ++kk) {
+        acc = std::fma(a[static_cast<std::size_t>(i) * k + kk],
+                       b[static_cast<std::size_t>(kk) * n + j], acc);
+      }
+      c[static_cast<std::size_t>(i) * n + j] = acc;
+    }
+  }
+  return c;
+}
+
 TEST(Kernels, MatmulParityOnAwkwardShapes) {
   IsaGuard guard;
   // m/k/n straddle the panel size (4 rows), the vector width and its
   // half/quarter tails: 1x1, primes, one-past and one-short of 16/32.
+  // matmul at a vector ISA is also pinned bit for bit to its FMA
+  // sequence, scalar column tails included.
   const int shapes[][3] = {{1, 1, 1},   {1, 7, 1},   {3, 5, 7},
                            {4, 4, 16},  {5, 13, 17}, {7, 19, 15},
                            {8, 31, 33}, {17, 23, 9}, {2, 3, 1}};
@@ -113,9 +151,15 @@ TEST(Kernels, MatmulParityOnAwkwardShapes) {
     Tensor ab = ops::matmul(a, b);
     Tensor abt = ops::matmul_bt(a, bt);
     Tensor atb = ops::matmul_at(at, b);
+    const auto fma_ab = bits(fma_matmul_reference(a, b));
     for (kernels::Isa isa : supported_vector_isas()) {
       kernels::set_isa(isa);
-      expect_close(ops::matmul(a, b), ab, "matmul");
+      const Tensor got = ops::matmul(a, b);
+      expect_close(got, ab, "matmul");
+      EXPECT_EQ(count_differ(bits(got), fma_ab), 0U)
+          << "matmul elements differ from the FMA reference at "
+          << kernels::isa_name(isa) << " " << s[0] << "x" << s[1] << "x"
+          << s[2];
       expect_close(ops::matmul_bt(a, bt), abt, "matmul_bt");
       expect_close(ops::matmul_at(at, b), atb, "matmul_at");
     }
@@ -205,15 +249,18 @@ Tensor fma_conv_reference(const Tensor& x, const Tensor& w, const Tensor& b,
 
 TEST(Kernels, Conv2DMatchesAnFmaReferenceBitForBit) {
   IsaGuard guard;
-  // At a vector ISA every conv but the unpadded 1x1 runs conv2d_direct,
-  // whose per-element FMA sequence is fixed; so, unlike the tolerance
-  // checks above, the result is pinned bit for bit. The shapes cross
-  // every tile edge of both vector widths: ow 1-50 (narrow runs over the
-  // padded stride, the switch to row tiles at 24, ragged last vectors and
-  // rows), pad 0-2, k 3 and 5, in_ch 1-16, out_ch 1-13 (every
-  // channel-block tail, and with 3 threads the batch-1 route shards the
-  // channels at other edges), batch 1 and 3. Among them are the frame
-  // CNN's own shapes: 48x48 1->8, 24x24 4->6, 12x12 16->4 and 7->12.
+  // At a vector ISA every conv gives each output its bias and then one
+  // FMA per tap in ascending (ic, kr, kc): the unpadded 1x1s on
+  // gemm_rows, every other conv on conv2d_direct. So, unlike the
+  // tolerance checks above, the result is pinned bit for bit. The
+  // shapes cross every tile edge of both vector widths: ow 1-50 (narrow
+  // runs over the padded stride, the switch to row tiles at 24, ragged
+  // last vectors and rows), pad 0-2, k 1, 3 and 5, in_ch 1-16, out_ch
+  // 1-13 (every channel-block tail, and with 3 threads the batch-1
+  // route shards the channels at other edges), batch 1-3. Among them
+  // are the frame CNN's own shapes: 48x48 1->8, 24x24 4->6 and 8->4,
+  // 12x12 16->4, 7->12 and 16->7. The 6x6 and 7x7 1x1s reach gemm_rows'
+  // scalar column tails; a padded 1x1 runs conv2d_direct.
   if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
   struct Case {
     int in_ch, out_ch, k, pad, hw, n;
@@ -227,7 +274,8 @@ TEST(Kernels, Conv2DMatchesAnFmaReferenceBitForBit) {
       {8, 13, 5, 2, 24, 1},  {3, 4, 3, 1, 25, 1},   {6, 5, 5, 1, 31, 1},
       {2, 3, 3, 1, 32, 1},   {1, 8, 3, 1, 33, 1},   {1, 8, 3, 1, 48, 1},
       {1, 8, 3, 1, 48, 3},   {2, 2, 3, 0, 49, 1},   {3, 1, 5, 2, 49, 1},
-      {2, 5, 3, 1, 50, 1},
+      {2, 5, 3, 1, 50, 1},   {8, 4, 1, 0, 24, 1},   {16, 7, 1, 0, 12, 3},
+      {8, 4, 1, 0, 6, 1},    {5, 9, 1, 0, 7, 2},    {3, 5, 1, 1, 6, 1},
   };
   Rng rng(18);
   for (const Case& c : cases) {
@@ -257,22 +305,6 @@ TEST(Kernels, Conv2DMatchesAnFmaReferenceBitForBit) {
       }
     }
   }
-}
-
-/// Bit patterns of every element, for exact comparison (-0 != +0).
-std::vector<std::uint32_t> bits(const Tensor& t) {
-  std::vector<std::uint32_t> out(t.numel());
-  for (std::size_t i = 0; i < t.numel(); ++i) {
-    out[i] = std::bit_cast<std::uint32_t>(t[i]);
-  }
-  return out;
-}
-
-std::size_t count_differ(const std::vector<std::uint32_t>& got,
-                         const std::vector<std::uint32_t>& want) {
-  std::size_t differ = 0;
-  for (std::size_t i = 0; i < want.size(); ++i) differ += got[i] != want[i];
-  return differ;
 }
 
 TEST(Kernels, Conv2DBackwardMatchesScalarBitForBit) {
