@@ -62,12 +62,11 @@ void BM_Conv2DTrainStep(benchmark::State& state) {
 BENCHMARK(BM_Conv2DTrainStep);
 
 void BM_Conv2DForwardDirect(benchmark::State& state) {
-  // Small plane (6x6 -> 36 output pixels), under Conv2D::use_gemm's im2col
-  // threshold. At the scalar ISA it runs the direct sliding-window kernel
-  // (Conv2D::forward_image_direct); at AVX2 and AVX-512, like every conv
-  // but the unpadded 1x1, the register-blocked kernels::conv2d_direct,
-  // here over the padded row stride (its 6-wide rows are narrower than a
-  // vector).
+  // Small plane (6x6 -> 36 output pixels). At the scalar ISA it runs the
+  // direct sliding-window loop (Conv2D::forward_image_direct); at AVX2
+  // and AVX-512, like every conv but the unpadded 1x1, the
+  // register-blocked kernels::conv2d_direct, here over the padded row
+  // stride (its 6-wide rows are narrower than a vector).
   util::Rng rng(2);
   nn::Conv2D conv(8, 16, 3, 1, rng);
   const Tensor x = Tensor::uniform({4, 8, 6, 6}, 1.0f, rng);
@@ -80,19 +79,16 @@ void BM_Conv2DForwardDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2DForwardDirect);
 
-void BM_FrameCnnConv3x3(benchmark::State& state) {
-  // One of the frame CNN's nine 3x3 convs (stem, then the Inception
-  // blocks' branches at 24x24 and 12x12) at batch 1, as the serving pass
-  // runs it: padding copy included, scratch from an arena.
-  struct Shape {
-    int in, out, hw;
-  };
-  static constexpr Shape kShapes[] = {{1, 8, 48},  {4, 6, 24}, {3, 4, 24},
-                                      {4, 4, 24},  {8, 2, 24}, {7, 12, 12},
-                                      {5, 8, 12},  {8, 8, 12}, {16, 4, 12}};
-  const Shape s = kShapes[state.range(0)];
+struct ConvShape {
+  int in, out, hw;
+};
+
+/// One of the frame CNN's convs (k x k, "same" padding) at batch 1, as
+/// the serving pass runs it: padding copy included, scratch from an
+/// arena.
+void run_frame_cnn_conv(benchmark::State& state, int k, ConvShape s) {
   util::Rng rng(6);
-  nn::Conv2D conv(s.in, s.out, 3, 1, rng);
+  nn::Conv2D conv(s.in, s.out, k, k / 2, rng);
   const Tensor x = Tensor::uniform({1, s.in, s.hw, s.hw}, 1.0f, rng);
   tensor::Arena arena;
   tensor::ArenaScope scope(arena);
@@ -104,7 +100,25 @@ void BM_FrameCnnConv3x3(benchmark::State& state) {
                  " at " + std::to_string(s.hw) + "x" +
                  std::to_string(s.hw));
 }
+
+void BM_FrameCnnConv3x3(benchmark::State& state) {
+  // The nine 3x3 convs: the stem, then the Inception blocks' branches at
+  // 24x24 and 12x12 (kernels::conv2d_direct at a vector ISA).
+  static constexpr ConvShape kShapes[] = {
+      {1, 8, 48},  {4, 6, 24}, {3, 4, 24}, {4, 4, 24}, {8, 2, 24},
+      {7, 12, 12}, {5, 8, 12}, {8, 8, 12}, {16, 4, 12}};
+  run_frame_cnn_conv(state, 3, kShapes[state.range(0)]);
+}
 BENCHMARK(BM_FrameCnnConv3x3)->DenseRange(0, 8);
+
+void BM_FrameCnnConv1x1(benchmark::State& state) {
+  // The five distinct shapes of the six unpadded 1x1 convs, the Inception
+  // blocks' bottlenecks at 24x24 and 12x12 (one GEMM row-kernel call).
+  static constexpr ConvShape kShapes[] = {
+      {8, 4, 24}, {8, 3, 24}, {16, 8, 12}, {16, 7, 12}, {16, 5, 12}};
+  run_frame_cnn_conv(state, 1, kShapes[state.range(0)]);
+}
+BENCHMARK(BM_FrameCnnConv1x1)->DenseRange(0, 4);
 
 void BM_TrainEpoch(benchmark::State& state) {
   // End-to-end supervised epoch of the frame CNN on a synthetic minibatch

@@ -170,10 +170,12 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   const float* in = input.data();
   float* o = out.data();
 
-  const int patch = in_ch_ * k_ * k_;
   const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
   const std::size_t in_img = static_cast<std::size_t>(in_ch_) * h * w;
   const std::size_t out_img = static_cast<std::size_t>(out_ch_) * pixels;
+  // Flops of one output channel of one image.
+  const std::int64_t oc_flops =
+      2LL * in_ch_ * k_ * k_ * static_cast<std::int64_t>(pixels);
   const kernels::Kernels* kv = kernels::active_kernels();
   // The shape picks the algorithm, the ISA only the kernel. An unpadded
   // 1x1 conv is one GEMM, W [out_ch, in_ch] times the image's plane
@@ -182,7 +184,8 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   // of the image (pad 0 included: it may read kConvSlack floats past the
   // last plane), and the scalar direct loop otherwise.
   const bool unit = k_ == 1 && pad_ == 0;
-  const auto rows_fn = kv != nullptr ? kv->gemm_rows : &tensor::gemm_rows_serial;
+  const auto rows_fn =
+      kv != nullptr ? kv->gemm_rows : &tensor::gemm_rows_serial;
   const bool padded = kv != nullptr && !unit;
   const int ph = h + 2 * pad_, pw = w + 2 * pad_;
   const std::size_t xpad_size =
@@ -214,23 +217,22 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
       pad_planes(in, in_ch_, h, w, pad_, xpad.data(), kernels::kConvSlack);
       x = xpad.data();
     }
-    parallel::parallel_for(
-        0, out_ch_, image_grain(2LL * patch * static_cast<std::int64_t>(pixels)),
-        [&](std::int64_t i0, std::int64_t i1) {
-          image(x, o, static_cast<int>(i0), static_cast<int>(i1));
-        });
+    parallel::parallel_for(0, out_ch_, image_grain(oc_flops),
+                           [&](std::int64_t i0, std::int64_t i1) {
+                             image(x, o, static_cast<int>(i0),
+                                   static_cast<int>(i1));
+                           });
     return out;
   }
 
-  const std::int64_t flops =
-      2LL * out_ch_ * patch * static_cast<std::int64_t>(pixels);
 #ifdef DARNET_CHECKED
   // Checked builds: batch shards must write disjoint images covering the
   // batch exactly.
   check::ShardWriteTracker tracker("Conv2D::forward batch images");
 #endif
   parallel::parallel_for(
-      0, n, image_grain(flops), [&](std::int64_t i0, std::int64_t i1) {
+      0, n, image_grain(out_ch_ * oc_flops),
+      [&](std::int64_t i0, std::int64_t i1) {
 #ifdef DARNET_CHECKED
         tracker.record(i0, i1);
 #endif
@@ -366,7 +368,8 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
           const float* gy = g + static_cast<std::size_t>(img) * out_img;
           float* gx = gi + static_cast<std::size_t>(img) * in_img;
-          float* dw_out = dw_part.data() + static_cast<std::size_t>(img) * wsize;
+          float* dw_out =
+              dw_part.data() + static_cast<std::size_t>(img) * wsize;
           float* db_out =
               db_part.data() + static_cast<std::size_t>(img) * out_ch_;
           if (kv != nullptr) {

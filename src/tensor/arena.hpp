@@ -1,9 +1,9 @@
 // Scratch arena for the zero-alloc inference hot path.
 //
 // An Arena is a size-bucketed free list of heap blocks. While an ArenaScope
-// is active on a thread, every Storage (tensor payload, im2col scratch,
-// ArenaAlloc container) allocated on that thread takes its block from the
-// arena and returns it there on destruction. After one warm-up pass the
+// is active on a thread, every Storage (tensor payload, padded-plane
+// scratch, ArenaAlloc container) allocated on that thread takes its block
+// from the arena and returns it there on destruction. After one warm-up pass the
 // arena holds a block for every size the workload uses, so steady-state
 // inference performs zero heap allocations (proven by the
 // counting-allocator test, enforced by the hot-path-alloc analyzer rule).

@@ -12,7 +12,8 @@
 //    fused multiply-add and, for dot-product shapes, lane-split
 //    accumulators -- so they are *deterministic for a fixed ISA* (thread
 //    count still cannot change results) but only tolerance-comparable to
-//    the scalar golden. test_kernels holds that parity bound.
+//    the scalar golden. test_kernels holds that parity bound, and holds
+//    gemm_rows and conv2d_direct to their exact FMA sequences.
 //  * The two Conv2D backward kernels (conv2d_grad_weights,
 //    conv2d_grad_input) are bit-equal to the scalar loops instead: they
 //    keep every gradient's order and rounding, so running them in place
@@ -35,7 +36,11 @@ enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// buffers; none may alias.
 struct Kernels {
   /// C rows [i0, i1) += A * B -- same contract as gemm_rows_serial
-  /// (A is MxK, B is KxN, C is MxN), ascending-k per element.
+  /// (A is MxK, B is KxN, C is MxN), ascending-k per element: each
+  /// element takes acc = fma(a, b, acc) once per k from its value in C,
+  /// whatever its tile or row shard. matmul runs it, and so does the
+  /// unpadded 1x1 conv forward, on a bias-filled C with B the input
+  /// plane matrix.
   void (*gemm_rows)(const float* a, const float* b, float* c,
                     std::int64_t i0, std::int64_t i1, int k, int n);
   /// y[i][j] = bias[j] + dot(x[i], wt[j]) for i in [m0, m1), j in [0, n)
@@ -43,10 +48,11 @@ struct Kernels {
   void (*gemv_bias_wt)(const float* x, const float* wt, const float* bias,
                        float* y, std::int64_t m0, std::int64_t m1, int k,
                        int n);
-  /// Direct single-image convolution for output channels
-  /// [oc0, oc1), any k and any width: each y[oc][r][c] starts at
-  /// bias[oc] and takes acc = fma(w[oc][ic][kr][kc], xp[ic][r+kr][c+kc],
-  /// acc) once per tap in ascending (ic, kr, kc), border zeros included.
+  /// Direct single-image convolution for output channels [oc0, oc1), any
+  /// k and any width (Conv2D runs it for every conv but the unpadded
+  /// 1x1): each y[oc][r][c] starts at bias[oc] and takes
+  /// acc = fma(w[oc][ic][kr][kc], xp[ic][r+kr][c+kc], acc) once per tap
+  /// in ascending (ic, kr, kc), border zeros included.
   /// That exact sequence makes the result independent of tiling, of the
   /// [oc0, oc1) shard and of the thread count; nothing outside those
   /// channels' output planes is written. `xp` is the input with its zero

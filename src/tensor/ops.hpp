@@ -31,8 +31,8 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// Serial building block behind matmul: C rows [i0, i1) += A * B over raw
 /// row-major buffers (A is MxK, B is KxN, C is MxN). Exposed so other
-/// modules (e.g. the im2col convolution) can drive the same register-tiled
-/// kernel with their own sharding strategy.
+/// modules (the 1x1 convolution, the LSTM recurrence) can drive the same
+/// register-tiled kernel with their own sharding strategy.
 void gemm_rows_serial(const float* a, const float* b, float* c,
                       std::int64_t i0, std::int64_t i1, int k, int n);
 

@@ -12,6 +12,10 @@
 #   obs-off  Release + DARNET_OBS=OFF (macros compile to unevaluated no-ops;
 #            proves the tree builds and all tests -- including the bit-parity
 #            goldens -- pass without the instrumentation)
+#   native   Release + DARNET_NATIVE=ON (-march=native, the build the
+#            checked-in micro numbers come from): the base TUs may use FMA,
+#            and the full suite proves the scalar goldens stay unfused
+#            (-ffp-contract=off, root CMakeLists.txt)
 #   serve    serving-tier smoke: build examples/serve_demo (Release,
 #            observability on) and run it with DARNET_OBS_DUMP set,
 #            asserting it exits 0 and writes a non-empty metrics.json --
@@ -84,7 +88,7 @@ ROOT="$(cd "$(dirname "$0")/../.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 BUILD_ROOT="${BUILD_ROOT:-${ROOT}/build-matrix}"
 
-ALL_LEGS=(default checked asan ubsan tsan obs-off serve sim-smoke
+ALL_LEGS=(default checked asan ubsan tsan obs-off native serve sim-smoke
           http-smoke sync-stress analyze bench-smoke)
 LEGS=("$@")
 if [ "${#LEGS[@]}" -eq 0 ]; then
@@ -469,6 +473,9 @@ for leg in "${LEGS[@]}"; do
       ;;
     obs-off)
       run_leg obs-off -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=OFF
+      ;;
+    native)
+      run_leg native -DCMAKE_BUILD_TYPE=Release -DDARNET_NATIVE=ON
       ;;
     serve)
       run_serve_smoke
