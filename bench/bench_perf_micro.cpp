@@ -10,6 +10,7 @@
 #include "imu/imu.hpp"
 #include "engine/architectures.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
@@ -119,6 +120,23 @@ void BM_FrameCnnConv1x1(benchmark::State& state) {
   run_frame_cnn_conv(state, 1, kShapes[state.range(0)]);
 }
 BENCHMARK(BM_FrameCnnConv1x1)->DenseRange(0, 4);
+
+void BM_DenseHead(benchmark::State& state) {
+  // The frame CNN's 1152->6 head at batch 1 and 8, as the serving pass
+  // runs it: scratch from an arena, gemv_bias_wt at a vector ISA.
+  const int n = static_cast<int>(state.range(0));
+  util::Rng rng(14);
+  nn::Dense head(1152, 6, rng);
+  const Tensor x = Tensor::uniform({n, 1152}, 1.0f, rng);
+  tensor::Arena arena;
+  tensor::ArenaScope scope(arena);
+  for (auto _ : state) {
+    Tensor y = head.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetLabel("1152->6 at batch " + std::to_string(n));
+}
+BENCHMARK(BM_DenseHead)->Arg(1)->Arg(8);
 
 void BM_TrainEpoch(benchmark::State& state) {
   // End-to-end supervised epoch of the frame CNN on a synthetic minibatch

@@ -3,10 +3,11 @@
 // The frame model is a dense stand-in sized like the paper's fine-tuned
 // Inception-V3 (tens of MB of weights): a single-request pass is
 // DRAM-bound streaming the weight matrix past one activation row, while
-// the register-tiled GEMM (tensor/ops.cpp, 4-row tiles) reuses every
-// loaded weight across the batch rows of a fused pass. That weight-traffic
-// amortisation -- not FLOPs -- is what micro-batching buys on a CPU
-// server, and it is why batch 8 must clear 2x.
+// at a vector ISA Dense's gemv_bias_wt (tensor/kernels_vec.inc) streams
+// each weight row past blocks of 4 batch rows (AVX-512) or 2 (AVX2), so
+// every loaded weight is reused across the rows of a fused pass. That
+// weight-traffic amortisation -- not FLOPs -- is what micro-batching buys
+// on a CPU server, and it is why batch 8 must clear 2x.
 //
 // Throughput (saturated closed loop): N requests submitted as fast as
 // admission allows, wall-clocked from first submit to drain, at max_batch

@@ -6,7 +6,7 @@ namespace darnet::nn {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x44724e31;  // "DrN1"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // 2: Dense weights are [out, in]
 }  // namespace
 
 void save_checkpoint(Sequential& model, const std::string& path) {

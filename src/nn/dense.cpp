@@ -14,7 +14,10 @@ namespace kernels = tensor::kernels;
 Dense::Dense(int in_features, int out_features, util::Rng& rng)
     : in_(in_features),
       out_(out_features),
-      weight_(Tensor::he_normal({in_features, out_features}, in_features, rng)),
+      // Drawn as [in, out], the order every golden's RNG stream follows,
+      // then stored as [out, in], the rows gemv_bias_wt reads.
+      weight_(tensor::transpose(Tensor::he_normal(
+          {in_features, out_features}, in_features, rng))),
       bias_(Tensor({out_features})) {
   if (in_features <= 0 || out_features <= 0) {
     throw std::invalid_argument("Dense: feature counts must be positive");
@@ -47,35 +50,26 @@ ShapeContract Dense::shape_contract(
 Tensor Dense::affine(const Tensor& x) const {
   const kernels::Kernels* kv = kernels::active_kernels();
   if (kv != nullptr) {
-    // Vector path: per-row dot products against W^T with the bias folded
-    // into each output element (overwrite semantics), sharded over the
-    // disjoint output rows. W^T is packed into the caller's scratch on
-    // every call, so inference writes nothing into the layer.
-    tensor::Storage wt(static_cast<std::size_t>(in_) * out_,
-                       tensor::Storage::Init::kUninit);
-    const float* w = weight_.value.data();
-    for (int j = 0; j < out_; ++j) {
-      float* row = wt.data() + static_cast<std::size_t>(j) * in_;
-      for (int i = 0; i < in_; ++i) {
-        row[i] = w[static_cast<std::size_t>(i) * out_ + j];
-      }
-    }
+    // Vector path: per-row dot products against W's [out, in] rows with
+    // the bias folded into each output element (overwrite semantics),
+    // sharded over the disjoint output rows.
     const int n = x.dim(0);
     Tensor out = Tensor::uninit({n, out_});
     const std::int64_t row_flops = 2LL * in_ * out_;
     const std::int64_t grain = std::max<std::int64_t>(
         1, (std::int64_t{1} << 18) / std::max<std::int64_t>(1, row_flops));
     const float* xp = x.data();
+    const float* w = weight_.value.data();
     const float* b = bias_.value.data();
     float* o = out.data();
     parallel::parallel_for(0, n, grain,
                            [&](std::int64_t m0, std::int64_t m1) {
-                             kv->gemv_bias_wt(xp, wt.data(), b, o,
-                                              m0, m1, in_, out_);
+                             kv->gemv_bias_wt(xp, w, b, o, m0, m1, in_,
+                                              out_);
                            });
     return out;
   }
-  Tensor out = tensor::matmul(x, weight_.value);
+  Tensor out = tensor::matmul_bt(x, weight_.value);
   const int n = out.dim(0);
   const float* b = bias_.value.data();
   for (int i = 0; i < n; ++i) {
@@ -104,17 +98,23 @@ Tensor Dense::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) {
     throw std::logic_error("Dense::backward before forward(training=true)");
   }
-  // dW = X^T G ; db = column sums of G ; dX = G W^T.
-  Tensor dw = tensor::matmul_at(cached_input_, grad_output);
+  const int n = cached_input_.dim(0);
+  if (grad_output.shape() != tensor::Shape{n, out_}) {
+    throw std::invalid_argument("Dense::backward: expected gradient [" +
+                                std::to_string(n) + ", " +
+                                std::to_string(out_) + "], got " +
+                                grad_output.shape_string());
+  }
+  // dW = G^T X ; db = column sums of G ; dX = G W.
+  Tensor dw = tensor::matmul_at(grad_output, cached_input_);
   tensor::add_inplace(weight_.grad, dw);
 
-  const int n = grad_output.dim(0);
   float* db = bias_.grad.data();
   for (int i = 0; i < n; ++i) {
     const float* row = grad_output.data() + static_cast<std::size_t>(i) * out_;
     for (int j = 0; j < out_; ++j) db[j] += row[j];
   }
-  return tensor::matmul_bt(grad_output, weight_.value);
+  return tensor::matmul(grad_output, weight_.value);
 }
 
 }  // namespace darnet::nn

@@ -1,4 +1,4 @@
-// Fully connected layer: y = x W + b, x is [N, in], W is [in, out].
+// Fully connected layer: y = x W^T + b, x is [N, in], W is [out, in].
 #pragma once
 
 #include "nn/layer.hpp"
@@ -22,7 +22,7 @@ class Dense final : public Layer {
       const std::vector<int>& input_shape) const override;
 
  private:
-  /// y = x W + b without touching the cache.
+  /// y = x W^T + b without touching the cache.
   Tensor affine(const Tensor& x) const;
   void validate_input(const Tensor& input) const;
 

@@ -69,7 +69,7 @@ class Layer {
   Layer& operator=(Layer&&) = default;
 
   /// With `training` false, forward writes nothing into the layer: no
-  /// activation cache, no shape record, no weight pack. Concurrent
+  /// activation cache, no shape record, no weight copy. Concurrent
   /// inference passes on one model are therefore safe, which is what lets
   /// every serving shard run passes on one shared replica. With `training`
   /// true it caches what backward() needs, so no other call on the layer

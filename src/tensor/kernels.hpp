@@ -12,8 +12,9 @@
 //    fused multiply-add and, for dot-product shapes, lane-split
 //    accumulators -- so they are *deterministic for a fixed ISA* (thread
 //    count still cannot change results) but only tolerance-comparable to
-//    the scalar golden. test_kernels holds that parity bound, and holds
-//    gemm_rows and conv2d_direct to their exact FMA sequences.
+//    the scalar golden. Each FMA is spelled out, so neither can the build
+//    type. test_kernels holds that bound, gemm_rows and conv2d_direct to
+//    their FMA sequences, and the models' forwards to a hash per ISA.
 //  * The two Conv2D backward kernels (conv2d_grad_weights,
 //    conv2d_grad_input) are bit-equal to the scalar loops instead: they
 //    keep every gradient's order and rounding, so running them in place
@@ -44,7 +45,7 @@ struct Kernels {
   void (*gemm_rows)(const float* a, const float* b, float* c,
                     std::int64_t i0, std::int64_t i1, int k, int n);
   /// y[i][j] = bias[j] + dot(x[i], wt[j]) for i in [m0, m1), j in [0, n)
-  /// with wt row-major [n][k] (the packed Dense layout: W transposed).
+  /// with wt row-major [n][k] (Dense's [out, in] weight, read in place).
   void (*gemv_bias_wt)(const float* x, const float* wt, const float* bias,
                        float* y, std::int64_t m0, std::int64_t m1, int k,
                        int n);

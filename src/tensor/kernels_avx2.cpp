@@ -1,4 +1,4 @@
-// AVX2+FMA kernel TU. Compiled with -mavx2 -mfma -ffp-contract=fast via
+// AVX2+FMA kernel TU. Compiled with -mavx2 -mfma via
 // set_source_files_properties (src/tensor/CMakeLists.txt); the rest of
 // the library never needs those flags, and the kernels are only ever
 // reached after __builtin_cpu_supports confirms the CPU. Builds to a
@@ -16,11 +16,13 @@
 #define DARNET_KERNEL_NS impl_avx2
 #define DARNET_KERNEL_WIDTH 8
 #define DARNET_KERNEL_FMADD _mm256_fmadd_ps
+#define DARNET_KERNEL_FMADD_PD _mm256_fmadd_pd
 #define DARNET_KERNEL_WIDEN(p) _mm256_cvtps_pd(_mm_loadu_ps(p))
 #include "tensor/kernels_vec.inc"
 #undef DARNET_KERNEL_NS
 #undef DARNET_KERNEL_WIDTH
 #undef DARNET_KERNEL_FMADD
+#undef DARNET_KERNEL_FMADD_PD
 #undef DARNET_KERNEL_WIDEN
 
 namespace darnet::tensor::kernels {

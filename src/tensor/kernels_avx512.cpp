@@ -1,5 +1,5 @@
-// AVX-512F kernel TU. Compiled with -mavx512f -mfma -ffp-contract=fast
-// via set_source_files_properties (src/tensor/CMakeLists.txt); reached
+// AVX-512F kernel TU. Compiled with -mavx512f -mfma via
+// set_source_files_properties (src/tensor/CMakeLists.txt); reached
 // only after __builtin_cpu_supports("avx512f"). Builds to a nullptr stub
 // when the toolchain cannot target AVX-512.
 #include <cmath>
@@ -15,6 +15,7 @@
 #define DARNET_KERNEL_NS impl_avx512
 #define DARNET_KERNEL_WIDTH 16
 #define DARNET_KERNEL_FMADD _mm512_fmadd_ps
+#define DARNET_KERNEL_FMADD_PD _mm512_fmadd_pd
 // maskz with a full mask: the unmasked _mm512_cvtps_pd reads
 // _mm512_undefined_pd(), which GCC 12 flags under -Wmaybe-uninitialized.
 #define DARNET_KERNEL_WIDEN(p) _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p))
@@ -22,6 +23,7 @@
 #undef DARNET_KERNEL_NS
 #undef DARNET_KERNEL_WIDTH
 #undef DARNET_KERNEL_FMADD
+#undef DARNET_KERNEL_FMADD_PD
 #undef DARNET_KERNEL_WIDEN
 
 namespace darnet::tensor::kernels {

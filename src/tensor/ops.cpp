@@ -200,8 +200,8 @@ Tensor matmul_bt(const Tensor& a, const Tensor& bt) {
   if (flops >= 32768) {
     Tensor c({m, n});
     // Materialise B = Bt^T once and run the blocked kernel. Each output
-    // element still accumulates over k in ascending order from 0, so this
-    // is bit-for-bit the same as the direct dot-product loop below.
+    // element still accumulates over k in ascending order from 0, bit for
+    // bit the direct loop below at scalar; a vector ISA fuses each step.
     const Tensor b = transpose(bt);
     matmul_accumulate(a, b, c);
     return c;
@@ -230,7 +230,8 @@ Tensor matmul_at(const Tensor& at, const Tensor& b) {
   const std::int64_t flops = 2LL * m * k * n;
   if (flops >= 32768) {
     // Materialise A = At^T and run the blocked kernel; per-element
-    // accumulation order (ascending k from 0) matches the direct loop.
+    // accumulation order (ascending k from 0) matches the direct loop,
+    // which it equals bit for bit at scalar (a vector ISA fuses).
     const Tensor a = transpose(at);
     matmul_accumulate(a, b, c);
     return c;

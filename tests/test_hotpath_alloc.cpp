@@ -2,9 +2,8 @@
 //
 // DESIGN.md "Kernel architecture" promises that steady-state
 // classify_batch performs no heap allocations: every buffer the forward
-// pass needs (activations, padded planes, the Dense weight pack the
-// vector ISAs take on every call, outputs) is recycled through the
-// thread's arena. This suite replaces the global allocator with a
+// pass needs (activations, padded planes, outputs) is recycled through
+// the thread's arena. This suite replaces the global allocator with a
 // counting one and asserts the promise literally -- after a warm-up pass
 // populates the arena's buckets, N further classify_batch calls must
 // perform exactly zero `new`s.

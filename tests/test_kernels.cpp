@@ -13,7 +13,9 @@
 // matmul's GEMM row kernel and the conv forward are held to FMA
 // references written here (MatmulParityOnAwkwardShapes,
 // Conv2DMatchesAnFmaReferenceBitForBit), and the conv backward to the
-// scalar ISA (Conv2DBackwardMatchesScalarBitForBit), bit for bit.
+// scalar ISA (Conv2DBackwardMatchesScalarBitForBit), bit for bit; and
+// the models' forwards to one hash per ISA that every build type must
+// give (VectorForwardsMatchOneGoldenPerIsaInEveryBuild).
 //
 // Shapes are deliberately awkward: 1x1, primes, and widths straddling
 // every tile boundary in the kernels (vector width and GEMM column
@@ -32,6 +34,7 @@
 #include "engine/architectures.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/sequential.hpp"
 #include "parallel/pool.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -168,7 +171,7 @@ TEST(Kernels, MatmulParityOnAwkwardShapes) {
 
 TEST(Kernels, DenseForwardParity) {
   IsaGuard guard;
-  // Dense packs W^T once and dispatches gemv_bias_wt; odd feature counts
+  // Dense hands its [out, in] weight to gemv_bias_wt; odd feature counts
   // exercise the dot-product tail lanes.
   Rng rng(12);
   nn::Dense dense(37, 11, rng);
@@ -503,6 +506,59 @@ TEST(Kernels, ModelRowsDoNotDependOnTheBatch) {
   }
 }
 
+TEST(Kernels, VectorForwardsMatchOneGoldenPerIsaInEveryBuild) {
+  IsaGuard guard;
+  // The vector kernels spell every fused multiply-add, and every TU
+  // builds with -ffp-contract=off, so neither the build type nor -march
+  // changes a bit: Release, the -O0 sanitizer builds and the native build
+  // all give one hash per ISA for seeded forwards of the frame CNN, the
+  // IMU RNN and a Dense whose k leaves gemv a scalar tail, at batch 8
+  // and 1, with 1 and 3 threads.
+  struct Golden {
+    kernels::Isa isa;
+    std::uint64_t hash;
+  };
+  constexpr Golden kGoldens[] = {
+      {kernels::Isa::kAvx2, 0xe3d3e9b081357bd8ULL},
+      {kernels::Isa::kAvx512, 0x1d997e6142fcf010ULL},
+  };
+  Rng rng(23);
+  nn::Sequential dense;
+  dense.emplace<nn::Dense>(37, 11, rng);
+  struct Model {
+    nn::Sequential net;
+    Tensor batch;
+  };
+  Model models[] = {
+      {darnet::engine::build_frame_cnn({}),
+       Tensor::uniform({8, 1, 48, 48}, 0.5F, rng)},
+      {darnet::engine::build_imu_rnn({}),
+       Tensor::uniform({8, 20, 13}, 2.0F, rng)},
+      {std::move(dense), Tensor::uniform({8, 37}, 1.0F, rng)},
+  };
+  bool ran = false;
+  for (const Golden& g : kGoldens) {
+    if (!kernels::isa_supported(g.isa)) continue;
+    ran = true;
+    kernels::set_isa(g.isa);
+    for (int threads : {1, 3}) {
+      darnet::parallel::set_thread_count(threads);
+      std::uint64_t h = 1469598103934665603ULL;
+      for (Model& m : models) {
+        for (const Tensor& x : {m.batch, ops::take_row(m.batch, 5)}) {
+          for (std::uint32_t b : bits(m.net.forward(x, false))) {
+            h = (h ^ b) * 1099511628211ULL;
+          }
+        }
+      }
+      EXPECT_EQ(h, g.hash) << kernels::isa_name(g.isa)
+                           << " threads=" << threads << ": actual 0x"
+                           << std::hex << h;
+    }
+  }
+  if (!ran) GTEST_SKIP() << "no vector ISA";
+}
+
 TEST(Kernels, ThreadCountCannotChangeResults) {
   IsaGuard guard;
   // The determinism contract holds per ISA: for a fixed kernel set the
@@ -534,13 +590,12 @@ TEST(Kernels, ThreadCountCannotChangeResults) {
   }
 }
 
-TEST(Kernels, PackedWeightsFollowParamMutation) {
+TEST(Kernels, WeightWritesShowInTheNextForward) {
   IsaGuard guard;
-  // Dense's vector path packs W^T on every forward, so a weight written
-  // straight into Param::value, with no notification, shows in the very
-  // next forward, as it does on the scalar path that never packs. Only
-  // Dense packs; the 1x1 conv, which reads its weights where they are,
-  // is held to the same rule.
+  // No layer keeps a copy of its weights: Dense and the 1x1 conv read
+  // them where Param::value holds them at every ISA, so a weight written
+  // straight into it, with no notification, shows in the very next
+  // forward, as it does on the scalar path.
   if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
   const auto follows = [](kernels::Isa isa, nn::Layer& layer,
                           const Tensor& x, const char* what) {

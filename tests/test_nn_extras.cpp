@@ -12,6 +12,7 @@
 #include "nn/dense.hpp"
 #include "nn/metrics.hpp"
 #include "nn/sequential.hpp"
+#include "util/serialize.hpp"
 #include "vision/augment.hpp"
 #include "vision/renderer.hpp"
 
@@ -135,6 +136,28 @@ TEST(Checkpoint, FileRoundTripAndValidation) {
   EXPECT_THROW(nn::load_checkpoint(other, path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW(nn::load_checkpoint(other, path), std::runtime_error);
+}
+
+TEST(Checkpoint, RefusesAnOlderVersion) {
+  // Version 1 stored Dense weights as [in, out]. A square Dense passes
+  // every shape check, so only the version keeps such a file from
+  // loading transposed.
+  Rng rng(6);
+  nn::Sequential model;
+  model.emplace<nn::Dense>(4, 4, rng);
+  util::BinaryWriter writer;
+  writer.write_u32(0x44724e31);  // "DrN1"
+  writer.write_u32(1);
+  model.save_params(writer);
+  const std::string path = "/tmp/darnet_test_ckpt_v1.bin";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(writer.bytes().data(), 1, writer.size(), f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(nn::load_checkpoint(model, path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 // --- Extended metrics --------------------------------------------------------

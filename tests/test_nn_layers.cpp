@@ -155,6 +155,32 @@ TEST(Layers, BiLstmBackwardDirectionSeesFuture) {
   EXPECT_GT(diff, 1e-4f);
 }
 
+TEST(Layers, BackwardRejectsAMisshapenGradient) {
+  // Each backward reads the gradient at the shape its cached input
+  // implies: a smaller one would be read past its end, a longer sequence
+  // at the wrong offsets. Every other shape is refused.
+  Rng rng(7);
+  nn::BiLstm lstm(3, 4, rng);
+  (void)lstm.forward(Tensor::uniform({4, 5, 3}, 1.0f, rng), true);
+  EXPECT_THROW((void)lstm.backward(Tensor({1, 5, 8})), std::invalid_argument);
+  (void)lstm.forward(Tensor::uniform({2, 5, 3}, 1.0f, rng), true);
+  EXPECT_THROW((void)lstm.backward(Tensor({2, 9, 8})), std::invalid_argument);
+  EXPECT_NO_THROW((void)lstm.backward(Tensor({2, 5, 8})));
+
+  nn::TemporalMeanPool pool;
+  (void)pool.forward(Tensor::uniform({4, 5, 6}, 1.0f, rng), true);
+  EXPECT_THROW((void)pool.backward(Tensor({1, 6})), std::invalid_argument);
+  EXPECT_THROW((void)pool.backward(Tensor({4, 5, 6})), std::invalid_argument);
+  EXPECT_NO_THROW((void)pool.backward(Tensor({4, 6})));
+
+  nn::Dense dense(3, 2, rng);
+  (void)dense.forward(Tensor::uniform({4, 3}, 1.0f, rng), true);
+  EXPECT_THROW((void)dense.backward(Tensor({1, 2})), std::invalid_argument);
+  EXPECT_THROW((void)dense.backward(Tensor({4, 3})), std::invalid_argument);
+  EXPECT_THROW((void)dense.backward(Tensor({4, 2, 1})), std::invalid_argument);
+  EXPECT_NO_THROW((void)dense.backward(Tensor({4, 2})));
+}
+
 TEST(Optimizer, SgdDescendsQuadratic) {
   // Minimise f(w) = 0.5 * ||w - target||^2 by feeding grad = w - target.
   nn::Param w(Tensor::full({4}, 5.0f));

@@ -291,6 +291,7 @@ TEST(TraceSpans, RingBufferWrapsKeepingNewestEvents) {
 //    parameters whether observability is compiled in or not. The golden
 //    was recorded from an obs-ON Release build; the obs-off leg must
 //    reproduce it (instrumentation never touches RNG or numeric state).
+//    Parameters are hashed in storage order, Dense weights as [out, in].
 
 std::uint64_t bit_hash(std::span<const float> values) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -332,7 +333,7 @@ TEST(ObsParity, TrainerBitsMatchGoldenInBothBuildModes) {
     h ^= bit_hash(p->value.flat());
     h *= 1099511628211ULL;
   }
-  EXPECT_EQ(h, 0xa956908895240947ULL)
+  EXPECT_EQ(h, 0x253007c1853a5c8fULL)
       << "trained parameter bits differ from the recorded golden "
          "(obs ON and OFF builds must agree); actual 0x"
       << std::hex << h;

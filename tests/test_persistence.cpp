@@ -33,7 +33,7 @@ TEST(Transfer, CopiesLongestMatchingPrefix) {
     }
   }
   // The mismatched head must be untouched (18 != 6 shapes anyway).
-  EXPECT_EQ(dp[2]->value.dim(1), 6);
+  EXPECT_EQ(dp[2]->value.dim(0), 6);
 }
 
 TEST(Transfer, NothingCopiedOnImmediateMismatch) {
