@@ -15,7 +15,9 @@
 // Conv2DMatchesAnFmaReferenceBitForBit), and the conv backward to the
 // scalar ISA (Conv2DBackwardMatchesScalarBitForBit), bit for bit; and
 // the models' forwards to one hash per ISA that every build type must
-// give (VectorForwardsMatchOneGoldenPerIsaInEveryBuild).
+// give (VectorForwardsMatchOneGoldenPerIsaInEveryBuild). Training at the
+// scalar ISA, the Conv2D backward included, is pinned the same way
+// (ScalarTrainingMatchesOneGoldenInEveryBuild).
 //
 // Shapes are deliberately awkward: 1x1, primes, and widths straddling
 // every tile boundary in the kernels (vector width and GEMM column
@@ -28,13 +30,16 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "engine/architectures.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
+#include "nn/trainer.hpp"
 #include "parallel/pool.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -557,6 +562,54 @@ TEST(Kernels, VectorForwardsMatchOneGoldenPerIsaInEveryBuild) {
     }
   }
   if (!ran) GTEST_SKIP() << "no vector ISA";
+}
+
+TEST(Kernels, ScalarTrainingMatchesOneGoldenInEveryBuild) {
+  IsaGuard guard;
+  // The scalar ISA is the golden for training too, the Conv2D backward
+  // included: two SGD epochs of a seeded frame CNN on 16x16 frames and
+  // two Adam epochs of a seeded IMU RNN, then a batch-1 and a batch-40
+  // forward of each, fold into one hash that Release, Debug and the
+  // sanitizer builds give alike, with 1 and 3 threads.
+  constexpr std::uint64_t kGolden = 0xe53a364e2f79930fULL;
+  constexpr int kRows = 40;
+  kernels::set_isa(kernels::Isa::kScalar);
+  for (int threads : {1, 3}) {
+    darnet::parallel::set_thread_count(threads);
+    Rng rng(26);
+    darnet::engine::FrameCnnConfig small;
+    small.input_size = 16;
+    struct Model {
+      nn::Sequential net;
+      Tensor x;
+      int classes;
+      std::unique_ptr<nn::Optimizer> opt;
+    };
+    Model models[] = {
+        {darnet::engine::build_frame_cnn(small),
+         Tensor::uniform({kRows, 1, 16, 16}, 1.0F, rng), 6,
+         std::make_unique<nn::Sgd>(0.05)},
+        {darnet::engine::build_imu_rnn({}),
+         Tensor::uniform({kRows, 20, 13}, 2.0F, rng), 3,
+         std::make_unique<nn::Adam>(0.01)},
+    };
+    nn::TrainConfig cfg;
+    cfg.epochs = 2;
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto fold = [&h](const Tensor& t) {
+      for (std::uint32_t b : bits(t)) h = (h ^ b) * 1099511628211ULL;
+    };
+    for (Model& m : models) {
+      std::vector<int> labels(kRows);
+      for (int i = 0; i < kRows; ++i) labels[i] = i % m.classes;
+      nn::train_classifier(m.net, *m.opt, m.x, labels, cfg);
+      for (nn::Param* p : m.net.params()) fold(p->value);
+      fold(m.net.forward(ops::take_row(m.x, 7), false));
+      fold(m.net.forward(m.x, false));
+    }
+    EXPECT_EQ(h, kGolden) << "threads=" << threads << ": actual 0x"
+                          << std::hex << h;
+  }
 }
 
 TEST(Kernels, ThreadCountCannotChangeResults) {

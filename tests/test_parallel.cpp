@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -241,23 +242,47 @@ Tensor naive_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   return y;
 }
 
+/// RAII: restore ctest's scalar golden ISA however the test exits.
+struct ScalarIsaGuard {
+  ~ScalarIsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
+};
+
 TEST(KernelParity, ConvMatchesNaiveReference) {
-  // A 3x3 conv (the direct loop) on a large and a small plane, and an
-  // unpadded 1x1 (the GEMM row kernel), against the textbook loop.
+  // At the scalar ISA every conv equals the textbook loop bit for bit:
+  // each output starts at its bias and adds its in-bounds taps in
+  // ascending (ic, kr, kc), one rounded multiply and one rounded add
+  // each. An unpadded 1x1 runs the GEMM row kernel; a padded and an
+  // unpadded 3x3, a 5x5 and a padded 1x1 the direct conv. On large, odd
+  // and small planes, at batch 1 (channel shards) and 3 (image shards).
+  ScalarIsaGuard isa_guard;
+  kernels::set_isa(kernels::Isa::kScalar);
   util::Rng rng(21);
   nn::Conv2D conv3(8, 16, 3, 1, rng);
   nn::Conv2D conv1(8, 5, 1, 0, rng);
-  const std::pair<nn::Conv2D*, int> convs[] = {{&conv3, 1}, {&conv1, 0}};
-  for (const int size : {24, 6}) {
-    for (const auto& [conv, pad] : convs) {
-      const Tensor x = Tensor::uniform({3, 8, size, size}, 1.0f, rng);
-      Tensor y = conv->forward(x, false);
-      const Tensor want = naive_conv2d(x, conv->params()[0]->value,
-                                       conv->params()[1]->value, pad);
-      ASSERT_TRUE(y.same_shape(want));
-      for (std::size_t i = 0; i < want.numel(); ++i) {
-        ASSERT_NEAR(y[i], want[i], 1e-5f)
-            << "pad " << pad << " size " << size << " elem " << i;
+  nn::Conv2D conv5(8, 6, 5, 2, rng);
+  nn::Conv2D conv1p(8, 3, 1, 1, rng);
+  nn::Conv2D conv3v(8, 4, 3, 0, rng);
+  const std::pair<nn::Conv2D*, int> convs[] = {
+      {&conv3, 1}, {&conv1, 0}, {&conv5, 2}, {&conv1p, 1}, {&conv3v, 0}};
+  for (const auto& [conv, pad] : convs) {
+    // A non-zero bias, so the start value is pinned too.
+    conv->params()[1]->value =
+        Tensor::uniform({conv->out_channels()}, 1.0f, rng);
+  }
+  for (const int size : {24, 7, 6}) {
+    for (const int n : {1, 3}) {
+      for (const auto& [conv, pad] : convs) {
+        const Tensor x = Tensor::uniform({n, 8, size, size}, 1.0f, rng);
+        const Tensor y = conv->forward(x, false);
+        const Tensor want = naive_conv2d(x, conv->params()[0]->value,
+                                         conv->params()[1]->value, pad);
+        ASSERT_TRUE(y.same_shape(want));
+        for (std::size_t i = 0; i < want.numel(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                    std::bit_cast<std::uint32_t>(want[i]))
+              << "k " << conv->params()[0]->value.dim(2) << " pad " << pad
+              << " size " << size << " n " << n << " elem " << i;
+        }
       }
     }
   }
@@ -272,11 +297,6 @@ std::vector<kernels::Isa> supported_isas() {
   }
   return out;
 }
-
-/// RAII: restore ctest's scalar golden ISA however the test exits.
-struct ScalarIsaGuard {
-  ~ScalarIsaGuard() { kernels::set_isa(kernels::Isa::kScalar); }
-};
 
 TEST(KernelParity, ConvForwardBackwardIdenticalAcrossThreadCounts) {
   // At every supported ISA: the vector forward and backward kernels shard
