@@ -310,14 +310,8 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const int oh = h + 2 * pad_ - k_ + 1;
   const int ow = w + 2 * pad_ - k_ + 1;
-  // The kernels size their scratch from the cached input and read the
-  // gradient at that shape, so any other one is refused.
-  if (grad_output.shape() != tensor::Shape{n, out_ch_, oh, ow}) {
-    throw std::invalid_argument(
-        "Conv2D::backward: expected gradient [" + std::to_string(n) + ", " +
-        std::to_string(out_ch_) + ", " + std::to_string(oh) + ", " +
-        std::to_string(ow) + "], got " + grad_output.shape_string());
-  }
+  // The kernels size their scratch from the cached input.
+  require_grad_shape(grad_output, {n, out_ch_, oh, ow}, "Conv2D");
 
   // At a vector ISA the input-gradient kernel overwrites every element;
   // the scalar loops accumulate into zeros.

@@ -99,12 +99,7 @@ Tensor Dense::backward(const Tensor& grad_output) {
     throw std::logic_error("Dense::backward before forward(training=true)");
   }
   const int n = cached_input_.dim(0);
-  if (grad_output.shape() != tensor::Shape{n, out_}) {
-    throw std::invalid_argument("Dense::backward: expected gradient [" +
-                                std::to_string(n) + ", " +
-                                std::to_string(out_) + "], got " +
-                                grad_output.shape_string());
-  }
+  require_grad_shape(grad_output, {n, out_}, "Dense");
   // dW = G^T X ; db = column sums of G ; dX = G W.
   Tensor dw = tensor::matmul_at(grad_output, cached_input_);
   tensor::add_inplace(weight_.grad, dw);

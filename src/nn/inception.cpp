@@ -88,6 +88,7 @@ Tensor ParallelConcat::forward(const Tensor& input, bool training) {
     // Backward's slicing plan; inference reads each branch's channel
     // count off its output and writes nothing here.
     input_shape_ = input.shape();
+    output_shape_ = {n, total_ch, oh, ow};
     branch_channels_.clear();
     for (const Tensor& y : outs) branch_channels_.push_back(y.dim(1));
   }
@@ -115,6 +116,9 @@ Tensor ParallelConcat::backward(const Tensor& grad_output) {
     throw std::logic_error(
         "ParallelConcat::backward before forward(training=true)");
   }
+  // Each branch's slice is read at the channel offsets of the training
+  // forward's output.
+  require_grad_shape(grad_output, output_shape_, "ParallelConcat");
   const int n = grad_output.dim(0);
   const int oh = grad_output.dim(2), ow = grad_output.dim(3);
   const int total_ch = grad_output.dim(1);

@@ -40,6 +40,7 @@ class ParallelConcat final : public Layer {
   // From the last training forward; backward slices its gradient by them.
   std::vector<int> branch_channels_;
   tensor::Shape input_shape_;
+  tensor::Shape output_shape_;
 };
 
 /// Builds a MicroInception block for `in_channels` input feature maps:

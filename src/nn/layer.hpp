@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,5 +104,21 @@ class Layer {
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+/// Refuses a gradient whose shape is not `want`, the output shape the
+/// layer's cached input implies: each backward reads its gradient at that
+/// shape, so any other one would be read out of bounds or at the wrong
+/// offsets. Throws std::invalid_argument naming `layer`.
+inline void require_grad_shape(const Tensor& grad, const tensor::Shape& want,
+                               const char* layer) {
+  if (grad.shape() == want) return;
+  std::string expected;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expected += (i == 0 ? "" : ", ") + std::to_string(want[i]);
+  }
+  throw std::invalid_argument(std::string(layer) +
+                              "::backward: expected gradient [" + expected +
+                              "], got " + grad.shape_string());
+}
 
 }  // namespace darnet::nn

@@ -267,12 +267,7 @@ Tensor BiLstm::backward(const Tensor& grad_output) {
     throw std::logic_error("BiLstm::backward before forward(training=true)");
   }
   const int n = cached_input_.dim(0), steps = cached_input_.dim(1);
-  if (grad_output.shape() != tensor::Shape{n, steps, 2 * hidden_}) {
-    throw std::invalid_argument(
-        "BiLstm::backward: expected gradient [" + std::to_string(n) + ", " +
-        std::to_string(steps) + ", " + std::to_string(2 * hidden_) +
-        "], got " + grad_output.shape_string());
-  }
+  require_grad_shape(grad_output, {n, steps, 2 * hidden_}, "BiLstm");
   Tensor grad_input(cached_input_.shape());
   backprop_direction(grad_output, 0, fwd_, /*reversed=*/false, fwd_trace_,
                      grad_input);
@@ -320,12 +315,7 @@ Tensor TemporalMeanPool::backward(const Tensor& grad_output) {
     throw std::logic_error("TemporalMeanPool::backward before forward");
   }
   const int n = input_shape_[0], steps = input_shape_[1], f = input_shape_[2];
-  if (grad_output.shape() != tensor::Shape{n, f}) {
-    throw std::invalid_argument(
-        "TemporalMeanPool::backward: expected gradient [" +
-        std::to_string(n) + ", " + std::to_string(f) + "], got " +
-        grad_output.shape_string());
-  }
+  require_grad_shape(grad_output, {n, f}, "TemporalMeanPool");
   const float inv = 1.0f / static_cast<float>(steps);
   Tensor grad_in(input_shape_);
   for (int i = 0; i < n; ++i) {

@@ -123,9 +123,10 @@ Tensor MaxPool2D::backward(const Tensor& grad_output) {
   if (input_shape_.empty()) {
     throw std::logic_error("MaxPool2D::backward before forward");
   }
-  if (grad_output.numel() != argmax_.size()) {
-    throw std::invalid_argument("MaxPool2D::backward: grad shape mismatch");
-  }
+  require_grad_shape(grad_output,
+                     {input_shape_[0], input_shape_[1], input_shape_[2] / k_,
+                      input_shape_[3] / k_},
+                     "MaxPool2D");
   Tensor grad_in(input_shape_);
   float* gi = grad_in.data();
   const float* g = grad_output.data();
@@ -180,6 +181,7 @@ Tensor AvgPool2D::backward(const Tensor& grad_output) {
   const int n = input_shape_[0], c = input_shape_[1], h = input_shape_[2],
             w = input_shape_[3];
   const int oh = h / k_, ow = w / k_;
+  require_grad_shape(grad_output, {n, c, oh, ow}, "AvgPool2D");
   const float inv = 1.0f / static_cast<float>(k_ * k_);
   Tensor grad_in(input_shape_);
   float* gi = grad_in.data();
@@ -231,6 +233,7 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
   }
   const int n = input_shape_[0], c = input_shape_[1], h = input_shape_[2],
             w = input_shape_[3];
+  require_grad_shape(grad_output, {n, c}, "GlobalAvgPool");
   const float inv = 1.0f / static_cast<float>(h * w);
   Tensor grad_in(input_shape_);
   float* gi = grad_in.data();

@@ -179,6 +179,36 @@ TEST(Layers, BackwardRejectsAMisshapenGradient) {
   EXPECT_THROW((void)dense.backward(Tensor({4, 3})), std::invalid_argument);
   EXPECT_THROW((void)dense.backward(Tensor({4, 2, 1})), std::invalid_argument);
   EXPECT_NO_THROW((void)dense.backward(Tensor({4, 2})));
+
+  // The pools read the gradient at the pooled shape of the cached input;
+  // MaxPool2D refuses one of the right size but the wrong shape too.
+  nn::MaxPool2D max_pool(2);
+  (void)max_pool.forward(Tensor::uniform({4, 2, 4, 4}, 1.0f, rng), true);
+  EXPECT_THROW((void)max_pool.backward(Tensor({2, 4, 2, 2})),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)max_pool.backward(Tensor({4, 2, 2, 2})));
+
+  nn::AvgPool2D avg_pool(2);
+  (void)avg_pool.forward(Tensor::uniform({4, 2, 4, 4}, 1.0f, rng), true);
+  EXPECT_THROW((void)avg_pool.backward(Tensor({1, 2, 2, 2})),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)avg_pool.backward(Tensor({4, 2, 2, 2})));
+
+  nn::GlobalAvgPool global_pool;
+  (void)global_pool.forward(Tensor::uniform({4, 3, 5, 5}, 1.0f, rng), true);
+  EXPECT_THROW((void)global_pool.backward(Tensor({1, 3})),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)global_pool.backward(Tensor({4, 3})));
+
+  // A block's gradient must carry every branch's channels: a wider one
+  // was accepted, a narrower one read across images.
+  nn::LayerPtr block = nn::make_micro_inception(3, 4, 2, 2, 2, rng);
+  (void)block->forward(Tensor::uniform({2, 3, 6, 6}, 1.0f, rng), true);
+  EXPECT_THROW((void)block->backward(Tensor({2, 12, 6, 6})),
+               std::invalid_argument);
+  EXPECT_THROW((void)block->backward(Tensor({2, 8, 6, 6})),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)block->backward(Tensor({2, 10, 6, 6})));
 }
 
 TEST(Optimizer, SgdDescendsQuadratic) {
