@@ -8,22 +8,12 @@
 #include "parallel/pool.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/ops.hpp"
 
 namespace darnet::nn {
 
 namespace kernels = tensor::kernels;
 
 namespace {
-
-// Work below this many flops is not worth a dispatch to the pool; used to
-// derive the per-image grain for batch sharding.
-constexpr std::int64_t kChunkFlops = 1 << 18;
-
-std::int64_t image_grain(std::int64_t flops_per_image) noexcept {
-  return std::max<std::int64_t>(
-      1, kChunkFlops / std::max<std::int64_t>(1, flops_per_image));
-}
 
 // Copy `ch` planes of h x w into zero-bordered (h+2p) x (w+2p) planes,
 // each at row and column offset p, followed by `slack` zeros. The direct
@@ -122,48 +112,13 @@ Tensor Conv2D::forward_moved(Tensor&& input, bool training) {
   return run_forward(input);
 }
 
-void Conv2D::forward_image_direct(const float* x, int h, int w, int oh,
-                                  int ow, float* y, int oc0, int oc1) const {
-  const float* wts = weight_.value.data();
-  const float* bias = bias_.value.data();
-  for (int oc = oc0; oc < oc1; ++oc) {
-    float* yplane = y + static_cast<std::size_t>(oc) * oh * ow;
-    std::fill(yplane, yplane + static_cast<std::size_t>(oh) * ow, bias[oc]);
-    for (int ic = 0; ic < in_ch_; ++ic) {
-      const float* xplane = x + static_cast<std::size_t>(ic) * h * w;
-      const float* kern =
-          wts + ((static_cast<std::size_t>(oc) * in_ch_ + ic) * k_) * k_;
-      for (int kr = 0; kr < k_; ++kr) {
-        for (int kc = 0; kc < k_; ++kc) {
-          const float kv = kern[kr * k_ + kc];
-          // Valid output range for this kernel offset. (No zero-skip on kv:
-          // the branch costs more than the multiply and adding kv*x == +-0
-          // never changes accumulator bits.)
-          const int r0 = std::max(0, pad_ - kr);
-          const int r1 = std::min(oh, h + pad_ - kr);
-          const int c0 = std::max(0, pad_ - kc);
-          const int c1 = std::min(ow, w + pad_ - kc);
-          for (int r = r0; r < r1; ++r) {
-            const float* xrow =
-                xplane + static_cast<std::size_t>(r + kr - pad_) * w +
-                (c0 + kc - pad_);
-            float* yrow = yplane + static_cast<std::size_t>(r) * ow + c0;
-            const int len = c1 - c0;
-            for (int c = 0; c < len; ++c) yrow[c] += kv * xrow[c];
-          }
-        }
-      }
-    }
-  }
-}
-
 Tensor Conv2D::run_forward(const Tensor& input) const {
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const int oh = h + 2 * pad_ - k_ + 1;
   const int ow = w + 2 * pad_ - k_ + 1;
 
-  // Every element is written below (bias fill / overwrite-semantics
-  // kernels / direct path's bias fill), so skip the zero memset.
+  // Every element is written below (the 1x1's bias fill, or
+  // conv2d_direct's overwrite), so skip the zero memset.
   Tensor out = Tensor::uninit({n, out_ch_, oh, ow});
   const float* wts = weight_.value.data();
   const float* bias = bias_.value.data();
@@ -176,34 +131,28 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   // Flops of one output channel of one image.
   const std::int64_t oc_flops =
       2LL * in_ch_ * k_ * k_ * static_cast<std::int64_t>(pixels);
-  const kernels::Kernels* kv = kernels::active_kernels();
+  const kernels::Kernels& kv = kernels::active_kernels();
   // The shape picks the algorithm, the ISA only the kernel. An unpadded
   // 1x1 conv is one GEMM, W [out_ch, in_ch] times the image's plane
   // matrix [in_ch, h*w], on the row kernel matmul uses. Every other conv
-  // runs conv2d_direct at a vector ISA, which reads a zero-bordered copy
-  // of the image (pad 0 included: it may read kConvSlack floats past the
-  // last plane), and the scalar direct loop otherwise.
+  // runs conv2d_direct, which reads a zero-bordered copy of the image
+  // (pad 0 included: it may read kConvSlack floats past the last plane).
   const bool unit = k_ == 1 && pad_ == 0;
-  const auto rows_fn =
-      kv != nullptr ? kv->gemm_rows : &tensor::gemm_rows_serial;
-  const bool padded = kv != nullptr && !unit;
   const int ph = h + 2 * pad_, pw = w + 2 * pad_;
   const std::size_t xpad_size =
       static_cast<std::size_t>(in_ch_) * ph * pw + kernels::kConvSlack;
 
   // Output channels [oc0, oc1) of one image; x is the image, or its
-  // zero-bordered copy when `padded`.
+  // zero-bordered copy unless `unit`.
   const auto image = [&](const float* x, float* y, int oc0, int oc1) {
     if (unit) {
       for (int oc = oc0; oc < oc1; ++oc) {
         std::fill(y + oc * pixels, y + (oc + 1) * pixels, bias[oc]);
       }
-      rows_fn(wts, x, y, oc0, oc1, in_ch_, static_cast<int>(pixels));
-    } else if (kv != nullptr) {
-      kv->conv2d_direct(x, wts, bias, y, oc0, oc1, in_ch_, k_, ph, pw, oh,
-                        ow);
+      kv.gemm_rows(wts, x, y, oc0, oc1, in_ch_, static_cast<int>(pixels));
     } else {
-      forward_image_direct(x, h, w, oh, ow, y, oc0, oc1);
+      kv.conv2d_direct(x, wts, bias, y, oc0, oc1, in_ch_, k_, ph, pw, oh,
+                       ow);
     }
   };
 
@@ -212,12 +161,12 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
     // channels, which every path computes independently.
     tensor::Storage xpad;
     const float* x = in;
-    if (padded) {
+    if (!unit) {
       xpad.resize_uninit(xpad_size);
       pad_planes(in, in_ch_, h, w, pad_, xpad.data(), kernels::kConvSlack);
       x = xpad.data();
     }
-    parallel::parallel_for(0, out_ch_, image_grain(oc_flops),
+    parallel::parallel_for(0, out_ch_, parallel::grain_for(oc_flops),
                            [&](std::int64_t i0, std::int64_t i1) {
                              image(x, o, static_cast<int>(i0),
                                    static_cast<int>(i1));
@@ -231,16 +180,16 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   check::ShardWriteTracker tracker("Conv2D::forward batch images");
 #endif
   parallel::parallel_for(
-      0, n, image_grain(out_ch_ * oc_flops),
+      0, n, parallel::grain_for(out_ch_ * oc_flops),
       [&](std::int64_t i0, std::int64_t i1) {
 #ifdef DARNET_CHECKED
         tracker.record(i0, i1);
 #endif
         tensor::Storage xpad;
-        if (padded) xpad.resize_uninit(xpad_size);
+        if (!unit) xpad.resize_uninit(xpad_size);
         for (std::int64_t img = i0; img < i1; ++img) {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
-          if (padded) {
+          if (!unit) {
             pad_planes(x, in_ch_, h, w, pad_, xpad.data(),
                        kernels::kConvSlack);
             x = xpad.data();
@@ -254,54 +203,6 @@ Tensor Conv2D::run_forward(const Tensor& input) const {
   return out;
 }
 
-void Conv2D::backward_image_direct(const float* x, const float* gy,
-                                   float* gx, int h, int w, int oh, int ow,
-                                   float* dw_out, float* db_out) const {
-  const float* wts = weight_.value.data();
-  for (int oc = 0; oc < out_ch_; ++oc) {
-    const float* gplane = gy + static_cast<std::size_t>(oc) * oh * ow;
-    // Bias gradient: sum over the output plane.
-    double acc = 0.0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(oh) * ow; ++i) {
-      acc += gplane[i];
-    }
-    db_out[oc] += static_cast<float>(acc);
-
-    for (int ic = 0; ic < in_ch_; ++ic) {
-      const float* xplane = x + static_cast<std::size_t>(ic) * h * w;
-      float* gxplane = gx + static_cast<std::size_t>(ic) * h * w;
-      const std::size_t kbase =
-          (static_cast<std::size_t>(oc) * in_ch_ + ic) * k_ * k_;
-      for (int kr = 0; kr < k_; ++kr) {
-        for (int kc = 0; kc < k_; ++kc) {
-          const int r0 = std::max(0, pad_ - kr);
-          const int r1 = std::min(oh, h + pad_ - kr);
-          const int c0 = std::max(0, pad_ - kc);
-          const int c1 = std::min(ow, w + pad_ - kc);
-          const float kv = wts[kbase + kr * k_ + kc];
-          double wacc = 0.0;
-          for (int r = r0; r < r1; ++r) {
-            const float* xrow =
-                xplane + static_cast<std::size_t>(r + kr - pad_) * w +
-                (c0 + kc - pad_);
-            float* gxrow =
-                gxplane + static_cast<std::size_t>(r + kr - pad_) * w +
-                (c0 + kc - pad_);
-            const float* grow =
-                gplane + static_cast<std::size_t>(r) * ow + c0;
-            const int len = c1 - c0;
-            for (int c = 0; c < len; ++c) {
-              wacc += static_cast<double>(xrow[c]) * grow[c];
-              gxrow[c] += kv * grow[c];
-            }
-          }
-          dw_out[kbase + kr * k_ + kc] += static_cast<float>(wacc);
-        }
-      }
-    }
-  }
-}
-
 Tensor Conv2D::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) {
     throw std::logic_error("Conv2D::backward before forward(training=true)");
@@ -313,11 +214,9 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   // The kernels size their scratch from the cached input.
   require_grad_shape(grad_output, {n, out_ch_, oh, ow}, "Conv2D");
 
-  // At a vector ISA the input-gradient kernel overwrites every element;
-  // the scalar loops accumulate into zeros.
-  const kernels::Kernels* kv = kernels::active_kernels();
-  Tensor grad_in = kv != nullptr ? Tensor::uninit(input.shape())
-                                 : Tensor(input.shape());
+  // The input-gradient kernel overwrites every element.
+  const kernels::Kernels& kv = kernels::active_kernels();
+  Tensor grad_in = Tensor::uninit(input.shape());
   const float* in = input.data();
   const float* g = grad_output.data();
   const float* wts = weight_.value.data();
@@ -328,10 +227,10 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   const std::size_t in_img = static_cast<std::size_t>(in_ch_) * h * w;
   const std::size_t out_img = static_cast<std::size_t>(out_ch_) * pixels;
   const std::size_t wsize = static_cast<std::size_t>(out_ch_) * patch;
-  // The vector kernels' scratch: the image widened to double in
-  // zero-bordered planes, the output gradient transposed to pixel rows,
-  // and the output gradient in zero-bordered planes for the transposed
-  // conv.
+  // The kernels' scratch: the image widened to double in zero-bordered
+  // planes, the output gradient transposed to pixel rows (the vector
+  // weight gradient's), and the output gradient in zero-bordered planes
+  // for the transposed conv.
   const int ph = h + 2 * pad_, pw = w + 2 * pad_;
   const int gh = h + k_ - 1, gw = w + k_ - 1;
   const std::size_t xd_size = static_cast<std::size_t>(in_ch_) * ph * pw;
@@ -351,13 +250,11 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   const std::int64_t flops =
       4LL * out_ch_ * patch * static_cast<std::int64_t>(pixels);
   parallel::parallel_for(
-      0, n, image_grain(flops), [&](std::int64_t i0, std::int64_t i1) {
-        tensor::Storage xd, gt, gp;
-        if (kv != nullptr) {
-          xd.resize_uninit(2 * xd_size);
-          gt.resize_uninit(gt_size);
-          gp.resize_uninit(gp_size);
-        }
+      0, n, parallel::grain_for(flops),
+      [&](std::int64_t i0, std::int64_t i1) {
+        tensor::Storage xd(2 * xd_size, tensor::Storage::Init::kUninit);
+        tensor::Storage gt(gt_size, tensor::Storage::Init::kUninit);
+        tensor::Storage gp(gp_size, tensor::Storage::Init::kUninit);
         for (std::int64_t img = i0; img < i1; ++img) {
           const float* x = in + static_cast<std::size_t>(img) * in_img;
           const float* gy = g + static_cast<std::size_t>(img) * out_img;
@@ -366,18 +263,13 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
               dw_part.data() + static_cast<std::size_t>(img) * wsize;
           float* db_out =
               db_part.data() + static_cast<std::size_t>(img) * out_ch_;
-          if (kv != nullptr) {
-            pad_planes(x, in_ch_, h, w, pad_, as_doubles(xd), 0);
-            kv->conv2d_grad_weights(as_doubles(xd), gy, gt.data(), dw_out,
-                                    db_out, in_ch_, out_ch_, k_, ph, pw, oh,
-                                    ow);
-            pad_planes(gy, out_ch_, oh, ow, k_ - 1 - pad_, gp.data(),
-                       kernels::kConvSlack);
-            kv->conv2d_grad_input(gp.data(), wts, gx, in_ch_, out_ch_, k_,
-                                  gh, gw, h, w);
-          } else {
-            backward_image_direct(x, gy, gx, h, w, oh, ow, dw_out, db_out);
-          }
+          pad_planes(x, in_ch_, h, w, pad_, as_doubles(xd), 0);
+          kv.conv2d_grad_weights(as_doubles(xd), gy, gt.data(), dw_out,
+                                 db_out, in_ch_, out_ch_, k_, ph, pw, oh, ow);
+          pad_planes(gy, out_ch_, oh, ow, k_ - 1 - pad_, gp.data(),
+                     kernels::kConvSlack);
+          kv.conv2d_grad_input(gp.data(), wts, gx, in_ch_, out_ch_, k_, gh,
+                               gw, h, w);
         }
       });
 

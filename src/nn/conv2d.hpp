@@ -1,19 +1,18 @@
 // 2-D convolution over NCHW tensors with stride 1 and symmetric zero
 // padding. Kernels are [out_channels, in_channels, k, k].
 //
-// The shape picks the algorithm and the ISA only the kernel. An unpadded
-// 1x1 conv is one GEMM over the image's plane matrix on the row kernel
-// matmul uses (kernels::gemm_rows, or tensor::gemm_rows_serial at the
-// scalar ISA); every other conv runs the register-blocked
-// kernels::conv2d_direct at a vector ISA and the direct sliding-window
-// loop at scalar. Each output starts at its bias and adds its taps in
-// ascending (ic, kr, kc). A single image shards its output channels, a
-// batch its images, on the parallel::ThreadPool; the backward keeps
-// per-image partial dW/db buffers reduced in fixed (ascending image)
-// order. See DESIGN.md "Threading model". The backward runs
-// kernels::conv2d_grad_weights and kernels::conv2d_grad_input at a vector
-// ISA, whose bits equal the scalar backward loop's (DESIGN.md "Kernel
-// architecture").
+// The shape picks the algorithm and the ISA only the kernel, from the
+// active row of the kernel table (tensor/kernels.hpp). An unpadded 1x1
+// conv is one GEMM over the image's plane matrix on kernels::gemm_rows,
+// the row kernel matmul uses; every other conv runs
+// kernels::conv2d_direct over a zero-bordered copy of the image. Each
+// output starts at its bias and adds its taps in ascending (ic, kr, kc).
+// A single image shards its output channels, a batch its images, on the
+// parallel::ThreadPool; the backward runs kernels::conv2d_grad_weights
+// and kernels::conv2d_grad_input per image, whose bits are the same at
+// every ISA, and reduces the per-image partial dW/db buffers in fixed
+// (ascending image) order. See DESIGN.md "Threading model" and "Kernel
+// architecture".
 #pragma once
 
 #include "nn/layer.hpp"
@@ -41,14 +40,6 @@ class Conv2D final : public Layer {
  private:
   void validate_input(const Tensor& input) const;
   Tensor run_forward(const Tensor& input) const;
-
-  /// The scalar golden, one image at a time: output channels [oc0, oc1)
-  /// of y, and one image's gx, dW and db partials.
-  void forward_image_direct(const float* x, int h, int w, int oh, int ow,
-                            float* y, int oc0, int oc1) const;
-  void backward_image_direct(const float* x, const float* gy, float* gx,
-                             int h, int w, int oh, int ow, float* dw_out,
-                             float* db_out) const;
 
   int in_ch_;
   int out_ch_;

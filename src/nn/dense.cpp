@@ -1,6 +1,5 @@
 #include "nn/dense.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "parallel/pool.hpp"
@@ -8,8 +7,6 @@
 #include "tensor/ops.hpp"
 
 namespace darnet::nn {
-
-namespace kernels = tensor::kernels;
 
 Dense::Dense(int in_features, int out_features, util::Rng& rng)
     : in_(in_features),
@@ -48,34 +45,20 @@ ShapeContract Dense::shape_contract(
 }
 
 Tensor Dense::affine(const Tensor& x) const {
-  const kernels::Kernels* kv = kernels::active_kernels();
-  if (kv != nullptr) {
-    // Vector path: per-row dot products against W's [out, in] rows with
-    // the bias folded into each output element (overwrite semantics),
-    // sharded over the disjoint output rows.
-    const int n = x.dim(0);
-    Tensor out = Tensor::uninit({n, out_});
-    const std::int64_t row_flops = 2LL * in_ * out_;
-    const std::int64_t grain = std::max<std::int64_t>(
-        1, (std::int64_t{1} << 18) / std::max<std::int64_t>(1, row_flops));
-    const float* xp = x.data();
-    const float* w = weight_.value.data();
-    const float* b = bias_.value.data();
-    float* o = out.data();
-    parallel::parallel_for(0, n, grain,
-                           [&](std::int64_t m0, std::int64_t m1) {
-                             kv->gemv_bias_wt(xp, w, b, o, m0, m1, in_,
-                                              out_);
-                           });
-    return out;
-  }
-  Tensor out = tensor::matmul_bt(x, weight_.value);
-  const int n = out.dim(0);
+  // Per-row dot products against W's [out, in] rows with the bias folded
+  // into each output element (overwrite semantics), sharded over the
+  // disjoint output rows.
+  const auto gemv = tensor::kernels::active_kernels().gemv_bias_wt;
+  const int n = x.dim(0);
+  Tensor out = Tensor::uninit({n, out_});
+  const float* xp = x.data();
+  const float* w = weight_.value.data();
   const float* b = bias_.value.data();
-  for (int i = 0; i < n; ++i) {
-    float* row = out.data() + static_cast<std::size_t>(i) * out_;
-    for (int j = 0; j < out_; ++j) row[j] += b[j];
-  }
+  float* o = out.data();
+  parallel::parallel_for(0, n, parallel::grain_for(2LL * in_ * out_),
+                         [&](std::int64_t m0, std::int64_t m1) {
+                           gemv(xp, w, b, o, m0, m1, in_, out_);
+                         });
   return out;
 }
 

@@ -89,10 +89,7 @@ void BiLstm::run_direction(const Tensor& x_tm, const LstmDirection& dir,
   trace.h = Tensor::uninit({steps * n, h});
   const Tensor c_initial({n, h});
 
-  const tensor::kernels::Kernels* kv = tensor::kernels::active_kernels();
-  const auto gemm = kv != nullptr ? kv->gemm_rows : &tensor::gemm_rows_serial;
-  const auto cell =
-      kv != nullptr ? kv->lstm_cell : &tensor::lstm_cell_serial;
+  const tensor::kernels::Kernels& kv = tensor::kernels::active_kernels();
   const float* h_prev = nullptr;  // h_{-1} = 0 adds nothing to Z_0
   const float* c_prev = c_initial.data();
   for (int step = 0; step < steps; ++step) {
@@ -103,10 +100,10 @@ void BiLstm::run_direction(const Tensor& x_tm, const LstmDirection& dir,
     float* c = trace.c.data() + ht;
     float* hh = trace.h.data() + ht;
     if (h_prev != nullptr) {
-      gemm(h_prev, dir.wh.value.data(), z, 0, n, h, 4 * h);
+      kv.gemm_rows(h_prev, dir.wh.value.data(), z, 0, n, h, 4 * h);
     }
-    cell(z, dir.b.value.data(), c_prev, c, trace.tanh_c.data() + ht, hh, n,
-         h);
+    kv.lstm_cell(z, dir.b.value.data(), c_prev, c, trace.tanh_c.data() + ht,
+                 hh, n, h);
 
     // Write h into the output slab at [*, t, out_offset : out_offset+h].
     for (int i = 0; i < n; ++i) {

@@ -21,6 +21,7 @@
 // be overridden programmatically with `set_thread_count` (tests, benches).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -124,6 +125,16 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
     return;
   }
   parallel_for_impl(begin, end, grain, RangeBody(std::forward<Body>(body)));
+}
+
+/// The grain for a range whose every index costs `flops_per_index`: the
+/// fewest indices that make a chunk of at least 2^18 flops, the work that
+/// amortises a pool wake-up. The kernels' callers all shard by it.
+[[nodiscard]] constexpr std::int64_t grain_for(
+    std::int64_t flops_per_index) noexcept {
+  constexpr std::int64_t kChunkFlops = std::int64_t{1} << 18;
+  return std::max<std::int64_t>(
+      1, kChunkFlops / std::max<std::int64_t>(1, flops_per_index));
 }
 
 /// A dedicated long-running thread for service loops (e.g. the serve

@@ -6,7 +6,9 @@
 
 namespace darnet::tensor::kernels {
 
-// Defined in the per-ISA TUs; nullptr when the toolchain lacked the flags.
+// Defined in the per-ISA TUs; the vector ones are nullptr when the
+// toolchain lacked the flags.
+const Kernels* scalar_kernels();
 const Kernels* avx2_kernels();
 const Kernels* avx512_kernels();
 
@@ -35,12 +37,12 @@ bool cpu_supports(Isa isa) noexcept {
 
 const Kernels* table_for(Isa isa) noexcept {
   switch (isa) {
+    case Isa::kScalar:
+      return scalar_kernels();
     case Isa::kAvx2:
       return avx2_kernels();
     case Isa::kAvx512:
       return avx512_kernels();
-    case Isa::kScalar:
-      return nullptr;
   }
   return nullptr;
 }
@@ -76,7 +78,6 @@ std::atomic<int> g_isa{-1};
 }  // namespace
 
 bool isa_supported(Isa isa) noexcept {
-  if (isa == Isa::kScalar) return true;
   return cpu_supports(isa) && table_for(isa) != nullptr;
 }
 
@@ -106,6 +107,7 @@ const char* isa_name(Isa isa) noexcept {
   return "unknown";
 }
 
-const Kernels* active_kernels() noexcept { return table_for(active()); }
+// active() only ever resolves to a supported ISA, whose table exists.
+const Kernels& active_kernels() noexcept { return *table_for(active()); }
 
 }  // namespace darnet::tensor::kernels

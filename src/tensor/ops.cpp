@@ -15,142 +15,7 @@ void require(bool cond, const char* what) {
   if (!cond) throw std::invalid_argument(what);
 }
 
-// ---------------------------------------------------------------------------
-// Blocked GEMM micro-kernels.
-//
-// Every kernel accumulates each output element over k in strictly ascending
-// order starting from the element's current value, which is exactly the
-// order the original single-threaded ikj loop used. Register tiles are
-// initialised *from C* and swept over the full k extent (no k-splitting),
-// so partial sums are never regrouped: results are bit-for-bit identical to
-// the serial seed kernels for any thread count. Parallelism shards output
-// rows, which are disjoint, so scheduling cannot affect results either.
-//
-// The former `if (aik == 0.0f) continue;` zero-skip branches are gone: they
-// only fire for exactly-zero weights (essentially never after the first
-// optimizer step) and defeat vectorisation of the inner loop. Adding the
-// skipped `0.0f * b` terms is a bitwise no-op: an accumulator can never be
-// -0.0 (IEEE addition only yields -0.0 when both operands are -0.0), so
-// `acc + (+/-0.0)` leaves it unchanged.
-// ---------------------------------------------------------------------------
-
-/// One C row tile: c[j..j+NR) += sum_k a[k] * b[k][j..j+NR).
-template <int NR>
-inline void tile_row1(const float* a, const float* pb, float* c, int k, int n,
-                      int j) {
-  float acc[NR];
-  for (int u = 0; u < NR; ++u) acc[u] = c[j + u];
-  for (int kk = 0; kk < k; ++kk) {
-    const float* b = pb + static_cast<std::size_t>(kk) * n + j;
-    const float x = a[kk];
-    for (int u = 0; u < NR; ++u) acc[u] += x * b[u];
-  }
-  for (int u = 0; u < NR; ++u) c[j + u] = acc[u];
-}
-
-/// Four C rows at once: 4x the reuse of each loaded B row.
-template <int NR>
-inline void tile_row4(const float* a0, const float* a1, const float* a2,
-                      const float* a3, const float* pb, float* c0, float* c1,
-                      float* c2, float* c3, int k, int n, int j) {
-  float r0[NR], r1[NR], r2[NR], r3[NR];
-  for (int u = 0; u < NR; ++u) {
-    r0[u] = c0[j + u];
-    r1[u] = c1[j + u];
-    r2[u] = c2[j + u];
-    r3[u] = c3[j + u];
-  }
-  for (int kk = 0; kk < k; ++kk) {
-    const float* b = pb + static_cast<std::size_t>(kk) * n + j;
-    const float x0 = a0[kk], x1 = a1[kk], x2 = a2[kk], x3 = a3[kk];
-    for (int u = 0; u < NR; ++u) {
-      const float bv = b[u];
-      r0[u] += x0 * bv;
-      r1[u] += x1 * bv;
-      r2[u] += x2 * bv;
-      r3[u] += x3 * bv;
-    }
-  }
-  for (int u = 0; u < NR; ++u) {
-    c0[j + u] = r0[u];
-    c1[j + u] = r1[u];
-    c2[j + u] = r2[u];
-    c3[j + u] = r3[u];
-  }
-}
-
-/// Minimum per-chunk flop count before a GEMM row range is worth shipping
-/// to the pool (amortises wake-up latency).
-constexpr std::int64_t kChunkFlops = 1 << 18;
-
-/// Row-sharding grain for an (k x n)-wide GEMM.
-inline std::int64_t gemm_grain(int k, int n) {
-  const std::int64_t row_flops =
-      2 * static_cast<std::int64_t>(k) * std::max(n, 1);
-  return std::max<std::int64_t>(1, kChunkFlops / std::max<std::int64_t>(
-                                                     1, row_flops));
-}
-
 }  // namespace
-
-void gemm_rows_serial(const float* a, const float* b, float* c,
-                      std::int64_t i0, std::int64_t i1, int k, int n) {
-  std::int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    float* c0 = c + static_cast<std::size_t>(i) * n;
-    float* c1 = c0 + n;
-    float* c2 = c1 + n;
-    float* c3 = c2 + n;
-    int j = 0;
-    for (; j + 16 <= n; j += 16) {
-      tile_row4<16>(a0, a1, a2, a3, b, c0, c1, c2, c3, k, n, j);
-    }
-    for (; j + 4 <= n; j += 4) {
-      tile_row4<4>(a0, a1, a2, a3, b, c0, c1, c2, c3, k, n, j);
-    }
-    for (; j < n; ++j) {
-      tile_row4<1>(a0, a1, a2, a3, b, c0, c1, c2, c3, k, n, j);
-    }
-  }
-  for (; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j + 16 <= n; j += 16) tile_row1<16>(arow, b, crow, k, n, j);
-    for (; j + 4 <= n; j += 4) tile_row1<4>(arow, b, crow, k, n, j);
-    for (; j < n; ++j) tile_row1<1>(arow, b, crow, k, n, j);
-  }
-}
-
-void lstm_cell_serial(float* gates, const float* bias, const float* c_prev,
-                      float* c, float* tanh_c, float* h, int rows,
-                      int hidden) {
-  const auto sigmoid = [](float x) { return 1.0f / (1.0f + std::exp(-x)); };
-  for (int r = 0; r < rows; ++r) {
-    float* zi = gates + static_cast<std::size_t>(r) * 4 * hidden;
-    float* zf = zi + hidden;
-    float* zg = zf + hidden;
-    float* zo = zg + hidden;
-    const std::size_t off = static_cast<std::size_t>(r) * hidden;
-    const float* cp = c_prev + off;
-    float* pc = c + off;
-    float* ptc = tanh_c + off;
-    float* ph = h + off;
-    for (int j = 0; j < hidden; ++j) {
-      zi[j] = sigmoid(zi[j] + bias[j]);
-      zf[j] = sigmoid(zf[j] + bias[hidden + j]);
-      zg[j] = std::tanh(zg[j] + bias[2 * hidden + j]);
-      zo[j] = sigmoid(zo[j] + bias[3 * hidden + j]);
-      pc[j] = zf[j] * cp[j] + zi[j] * zg[j];
-      ptc[j] = std::tanh(pc[j]);
-      ph[j] = zo[j] * ptc[j];
-    }
-  }
-}
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   require(a.rank() == 2 && b.rank() == 2, "matmul: rank-2 tensors required");
@@ -169,23 +34,23 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  // One dispatch per call: vector ISA active -> SIMD row kernel, else the
-  // scalar bit-parity golden. Both shard disjoint rows, so thread count
+  // The active ISA's row kernel on disjoint row shards, so thread count
   // never affects results for a fixed ISA.
-  const kernels::Kernels* kv = kernels::active_kernels();
-  const auto rows_fn = (kv != nullptr) ? kv->gemm_rows : &gemm_rows_serial;
+  const auto rows_fn = kernels::active_kernels().gemm_rows;
+  const std::int64_t grain =
+      parallel::grain_for(2 * static_cast<std::int64_t>(k) * std::max(n, 1));
 #ifdef DARNET_CHECKED
   // Checked builds: every chunk writes a disjoint band of output rows and
   // together the bands tile [0, m) exactly.
   check::ShardWriteTracker tracker("matmul_accumulate output rows");
-  parallel::parallel_for(0, m, gemm_grain(k, n),
+  parallel::parallel_for(0, m, grain,
                          [&](std::int64_t i0, std::int64_t i1) {
                            tracker.record(i0, i1);
                            rows_fn(pa, pb, pc, i0, i1, k, n);
                          });
   tracker.expect_exact_cover(0, m);
 #else
-  parallel::parallel_for(0, m, gemm_grain(k, n),
+  parallel::parallel_for(0, m, grain,
                          [&](std::int64_t i0, std::int64_t i1) {
                            rows_fn(pa, pb, pc, i0, i1, k, n);
                          });

@@ -1,23 +1,20 @@
-// Numeric kernels over Tensors. All functions are pure (outputs returned or
-// written to caller-provided tensors); hot paths are written over raw float
-// pointers for auto-vectorisation, register-tiled for cache reuse, and
-// row-sharded across the parallel::ThreadPool.
+// Numeric ops over Tensors. All functions are pure (outputs returned or
+// written to caller-provided tensors).
 //
-// Determinism contract: every kernel accumulates each output element in the
+// Determinism contract: every op accumulates each output element in the
 // same (ascending-k) order as the original serial implementation and shards
 // only disjoint output rows, so results are bit-for-bit identical to the
 // single-threaded seed kernels for *any* DARNET_THREADS value. See
 // DESIGN.md "Threading model".
 //
-// Kernel dispatch (tensor/kernels.hpp): the GEMM entry points select a
-// vector microkernel (AVX2 / AVX-512) at runtime when DARNET_KERNELS
-// allows it. The scalar path below remains the bit-parity golden; the
-// vector path is deterministic per-ISA (thread count still cannot change
-// results) but uses FMA, so it matches the golden only to tolerance. See
-// DESIGN.md "Kernel architecture".
+// Kernel dispatch (tensor/kernels.hpp): matmul row-shards the active ISA's
+// gemm_rows over the parallel::ThreadPool. The scalar row is the
+// bit-parity golden; the vector rows are deterministic per ISA (thread
+// count still cannot change results) but fuse each multiply-add, so they
+// match the golden only to tolerance. matmul_bt and matmul_at run their
+// own direct loop below 32,768 flops, and matmul's row kernel on a
+// transposed copy above. See DESIGN.md "Kernel architecture".
 #pragma once
-
-#include <cstdint>
 
 #include "tensor/tensor.hpp"
 
@@ -28,23 +25,6 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// C += A(MxK) * B(KxN), accumulating into an existing tensor.
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c);
-
-/// Serial building block behind matmul: C rows [i0, i1) += A * B over raw
-/// row-major buffers (A is MxK, B is KxN, C is MxN). Exposed so other
-/// modules (the 1x1 convolution, the LSTM recurrence) can drive the same
-/// register-tiled kernel with their own sharding strategy.
-void gemm_rows_serial(const float* a, const float* b, float* c,
-                      std::int64_t i0, std::int64_t i1, int k, int n);
-
-/// Scalar reference LSTM cell over `rows` rows (gate order [i, f, g, o]):
-/// adds `bias` to each row's pre-activations in `gates` (rows x 4*hidden)
-/// and overwrites them with sigmoid(i), sigmoid(f), tanh(g), sigmoid(o),
-/// then writes c = f*c_prev + i*g, tanh_c = tanh(c) and h = o*tanh_c
-/// (rows x hidden each). std::exp/std::tanh; the vector lstm_cell
-/// kernels match it to tolerance.
-void lstm_cell_serial(float* gates, const float* bias, const float* c_prev,
-                      float* c, float* tanh_c, float* h, int rows,
-                      int hidden);
 
 /// C = A(MxK) * B(NxK)^T -- the backward-friendly layout.
 Tensor matmul_bt(const Tensor& a, const Tensor& b_transposed);

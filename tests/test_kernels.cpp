@@ -101,25 +101,40 @@ std::size_t count_differ(const std::vector<std::uint32_t>& got,
   return differ;
 }
 
-TEST(Kernels, ScalarAlwaysSupportedAndHasNoTable) {
+TEST(Kernels, ScalarAlwaysSupportedAndResolvesToItsRow) {
   IsaGuard guard;
   EXPECT_TRUE(kernels::isa_supported(kernels::Isa::kScalar));
   EXPECT_EQ(kernels::set_isa(kernels::Isa::kScalar), kernels::Isa::kScalar);
   EXPECT_EQ(kernels::active(), kernels::Isa::kScalar);
-  EXPECT_EQ(kernels::active_kernels(), nullptr);
+  // The scalar ISA has its own row of the table, not a vector ISA's...
+  const kernels::Kernels* scalar = &kernels::active_kernels();
+  for (kernels::Isa isa : supported_vector_isas()) {
+    kernels::set_isa(isa);
+    EXPECT_NE(&kernels::active_kernels(), scalar) << kernels::isa_name(isa);
+  }
+  kernels::set_isa(kernels::Isa::kScalar);
+  EXPECT_EQ(&kernels::active_kernels(), scalar);
+  // ...and it is the unfused golden: it rounds a * b before adding c,
+  // which drops the 2^-24 that a fused multiply-add would keep.
+  const float a = 1.0F + 0x1p-12F;
+  float c = -1.0F;
+  scalar->gemm_rows(&a, &a, &c, 0, 1, 1, 1);
+  EXPECT_EQ(c, 0x1p-11F);
 }
 
 TEST(Kernels, SetIsaFallsBackToSupported) {
   IsaGuard guard;
   // Requesting any ISA must land on a supported one -- never an illegal
   // instruction later. On AVX-512 hardware this is identity; elsewhere
-  // it degrades (avx512 -> avx2 -> scalar).
+  // it degrades (avx512 -> avx2 -> scalar). Whichever it lands on has a
+  // row of kernels that runs.
   const kernels::Isa got = kernels::set_isa(kernels::Isa::kAvx512);
   EXPECT_TRUE(kernels::isa_supported(got));
   EXPECT_EQ(kernels::active(), got);
-  if (got != kernels::Isa::kScalar) {
-    EXPECT_NE(kernels::active_kernels(), nullptr);
-  }
+  const float a = 3.0F, b = 5.0F;
+  float c = 0.0F;
+  kernels::active_kernels().gemm_rows(&a, &b, &c, 0, 1, 1, 1);
+  EXPECT_EQ(c, 15.0F);
 }
 
 /// matmul's vector contract (kernels.hpp, gemm_rows): each element
@@ -427,7 +442,7 @@ TEST(Kernels, Conv2DBackwardRejectsAMisshapenGradient) {
 TEST(Kernels, LstmCellParityIncludingSaturationAndTails) {
   IsaGuard guard;
   // The vector cell evaluates sigmoid/tanh through its own expf; hold it
-  // to the std::exp/std::tanh reference on random rows, on saturating
+  // to the scalar row's std::exp/std::tanh on random rows, on saturating
   // pre-activations (+-100, where a naive exp overflows), and at hidden
   // sizes that leave a ragged tail after the last full vector.
   if (supported_vector_isas().empty()) GTEST_SKIP() << "no vector ISA";
@@ -446,16 +461,17 @@ TEST(Kernels, LstmCellParityIncludingSaturationAndTails) {
     Tensor want_c({kRows, hidden});
     Tensor want_tc({kRows, hidden});
     Tensor want_h({kRows, hidden});
-    ops::lstm_cell_serial(want_gates.data(), bias.data(), c_prev.data(),
-                          want_c.data(), want_tc.data(), want_h.data(),
-                          kRows, hidden);
+    kernels::set_isa(kernels::Isa::kScalar);
+    kernels::active_kernels().lstm_cell(
+        want_gates.data(), bias.data(), c_prev.data(), want_c.data(),
+        want_tc.data(), want_h.data(), kRows, hidden);
     for (kernels::Isa isa : supported_vector_isas()) {
       kernels::set_isa(isa);
       Tensor got_gates = gates;
       Tensor got_c({kRows, hidden});
       Tensor got_tc({kRows, hidden});
       Tensor got_h({kRows, hidden});
-      kernels::active_kernels()->lstm_cell(
+      kernels::active_kernels().lstm_cell(
           got_gates.data(), bias.data(), c_prev.data(), got_c.data(),
           got_tc.data(), got_h.data(), kRows, hidden);
       expect_close(got_gates, want_gates, "lstm_cell gates");
