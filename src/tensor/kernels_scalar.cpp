@@ -7,13 +7,16 @@
 // kernels.hpp; none depends on how the caller shards rows, channels or
 // images, so thread count never changes a bit.
 //
-// The convolutions read the same zero-bordered planes as the vector rows
-// and keep the row-wise loop shape of the direct loops they replace: the
-// tap loop outer, one row update inner, which the compiler vectorises
-// without reordering any element's sum. A tap over the border adds w * 0,
-// which leaves an accumulator unchanged for finite w: the accumulator is
-// never -0, because it starts at +0 or a bias that is not -0, and a sum is
-// -0 only when both of its terms are.
+// The convolutions read the same zero-bordered planes as the vector rows.
+// The forward and the input gradient keep the row-wise loop shape of the
+// direct loops they replace: the tap loop outer, one row update inner,
+// which the compiler vectorises without reordering any element's sum. A
+// tap over the border adds w * 0, which leaves an accumulator unchanged
+// for finite w: the accumulator is never -0, because it starts at +0 or a
+// bias that is not -0, and a sum is -0 only when both of its terms are.
+// The dot products (gemv_bias_wt and the weight gradient) run several
+// independent sums at once, so the adds' latency overlaps; each sum keeps
+// its own order.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -116,18 +119,42 @@ void gemm_rows(const float* a, const float* b, float* c, std::int64_t i0,
   }
 }
 
-void gemv_bias_wt(const float* x, const float* wt, const float* bias,
-                  float* y, std::int64_t m0, std::int64_t m1, int k, int n) {
-  for (std::int64_t i = m0; i < m1; ++i) {
-    const float* xi = x + static_cast<std::size_t>(i) * k;
-    float* yi = y + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* wj = wt + static_cast<std::size_t>(j) * k;
-      float acc = 0.0f;
-      for (int kk = 0; kk < k; ++kk) acc += xi[kk] * wj[kk];
-      yi[j] = acc + bias[j];
+/// Rows [i, i + MR) x outputs [j, j + NR) of y: MR * NR independent dot
+/// products, chains enough to hide the add latency, each summed from +0
+/// in ascending k before the bias is added.
+template <int MR, int NR>
+inline void gemv_block(const float* x, const float* wt, const float* bias,
+                       float* y, std::int64_t i, int j, int k, int n) {
+  float acc[MR][NR] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    for (int r = 0; r < MR; ++r) {
+      const float xv = x[static_cast<std::size_t>(i + r) * k + kk];
+      for (int c = 0; c < NR; ++c) {
+        acc[r][c] += xv * wt[static_cast<std::size_t>(j + c) * k + kk];
+      }
     }
   }
+  for (int r = 0; r < MR; ++r) {
+    for (int c = 0; c < NR; ++c) {
+      y[static_cast<std::size_t>(i + r) * n + j + c] = acc[r][c] + bias[j + c];
+    }
+  }
+}
+
+/// Rows [i, i + MR) of y: NR outputs a block, then the rest one at a time.
+template <int MR, int NR>
+inline void gemv_rows(const float* x, const float* wt, const float* bias,
+                      float* y, std::int64_t i, int k, int n) {
+  int j = 0;
+  for (; j + NR <= n; j += NR) gemv_block<MR, NR>(x, wt, bias, y, i, j, k, n);
+  for (; j < n; ++j) gemv_block<MR, 1>(x, wt, bias, y, i, j, k, n);
+}
+
+void gemv_bias_wt(const float* x, const float* wt, const float* bias,
+                  float* y, std::int64_t m0, std::int64_t m1, int k, int n) {
+  std::int64_t i = m0;
+  for (; i + 4 <= m1; i += 4) gemv_rows<4, 2>(x, wt, bias, y, i, k, n);
+  for (; i < m1; ++i) gemv_rows<1, 8>(x, wt, bias, y, i, k, n);
 }
 
 /// y[0..len) += w * x[0..len): one row update of a convolution tap.
@@ -186,31 +213,63 @@ void conv2d_grad_input(const float* gp, const float* wts, float* gx,
   }
 }
 
+/// One output channel's weight gradient: its output gradient plane `g`,
+/// the image's double planes `xd`, and its row of in_ch * k * k weights.
+struct WgradArgs {
+  const double* xd;
+  const float* g;
+  float* dw;
+  int k, ph, pw, oh, ow;
+};
+
+/// Taps [t0, t0 + T) of the flattened (ic, kr, kc) weight row: T
+/// independent double sums, chains enough to hide the add latency, each
+/// over the pixels in ascending r*ow + c from +0.
+template <int T>
+void wgrad_taps(const WgradArgs& a, int t0) {
+  const double* xt[T];
+  for (int t = 0; t < T; ++t) {
+    const int tap = t0 + t, kk = a.k * a.k;
+    xt[t] = a.xd + (static_cast<std::size_t>(tap / kk) * a.ph +
+                    tap % kk / a.k) * a.pw + tap % a.k;
+  }
+  double acc[T] = {};
+  for (int r = 0; r < a.oh; ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * a.pw;
+    const float* gr = a.g + static_cast<std::size_t>(r) * a.ow;
+    for (int c = 0; c < a.ow; ++c) {
+      const double gv = gr[c];
+      for (int t = 0; t < T; ++t) acc[t] += xt[t][row + c] * gv;
+    }
+  }
+  for (int t = 0; t < T; ++t) a.dw[t0 + t] += static_cast<float>(acc[t]);
+}
+
+/// The last nt (< T) taps of a row.
+template <int T>
+void wgrad_tail(const WgradArgs& a, int t0, int nt) {
+  if constexpr (T > 0) {
+    if (nt == T) return wgrad_taps<T>(a, t0);
+    wgrad_tail<T - 1>(a, t0, nt);
+  }
+}
+
 void conv2d_grad_weights(const double* xd, const float* gy, float* /*gt*/,
                          float* dw, float* db, int in_ch, int out_ch, int k,
                          int ph, int pw, int oh, int ow) {
+  constexpr int kTaps = 8;
   const std::size_t plane = static_cast<std::size_t>(oh) * ow;
-  const std::size_t xplane = static_cast<std::size_t>(ph) * pw;
-  float* dwo = dw;
+  const int taps = in_ch * k * k;
   for (int oc = 0; oc < out_ch; ++oc) {
     const float* g = gy + oc * plane;
     double acc = 0.0;
     for (std::size_t i = 0; i < plane; ++i) acc += g[i];
     db[oc] += static_cast<float>(acc);
-    for (int ic = 0; ic < in_ch; ++ic) {
-      const double* xpl = xd + ic * xplane;
-      for (int kr = 0; kr < k; ++kr) {
-        for (int kc = 0; kc < k; ++kc, ++dwo) {
-          double wacc = 0.0;
-          for (int r = 0; r < oh; ++r) {
-            const double* xr = xpl + static_cast<std::size_t>(r + kr) * pw + kc;
-            const float* gr = g + static_cast<std::size_t>(r) * ow;
-            for (int c = 0; c < ow; ++c) wacc += xr[c] * gr[c];
-          }
-          *dwo += static_cast<float>(wacc);
-        }
-      }
-    }
+    const WgradArgs a{xd, g, dw + static_cast<std::size_t>(oc) * taps,
+                      k, ph, pw, oh, ow};
+    int t = 0;
+    for (; t + kTaps <= taps; t += kTaps) wgrad_taps<kTaps>(a, t);
+    wgrad_tail<kTaps - 1>(a, t, taps - t);
   }
 }
 
