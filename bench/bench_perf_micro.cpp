@@ -63,11 +63,11 @@ void BM_Conv2DTrainStep(benchmark::State& state) {
 BENCHMARK(BM_Conv2DTrainStep);
 
 void BM_Conv2DForwardDirect(benchmark::State& state) {
-  // Small plane (6x6 -> 36 output pixels). At the scalar ISA it runs the
-  // direct sliding-window loop (Conv2D::forward_image_direct); at AVX2
-  // and AVX-512, like every conv but the unpadded 1x1, the
-  // register-blocked kernels::conv2d_direct, here over the padded row
-  // stride (its 6-wide rows are narrower than a vector).
+  // Small plane (6x6 -> 36 output pixels). Like every conv but the
+  // unpadded 1x1 it runs kernels::conv2d_direct: row by row over the
+  // zero-bordered planes at the scalar ISA, and at AVX2 and AVX-512
+  // register-blocked over the padded row stride (its 6-wide rows are
+  // narrower than a vector).
   util::Rng rng(2);
   nn::Conv2D conv(8, 16, 3, 1, rng);
   const Tensor x = Tensor::uniform({4, 8, 6, 6}, 1.0f, rng);

@@ -129,7 +129,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
 
 /// The grain for a range whose every index costs `flops_per_index`: the
 /// fewest indices that make a chunk of at least 2^18 flops, the work that
-/// amortises a pool wake-up. The kernels' callers all shard by it.
+/// amortises a pool wake-up. matmul, Conv2D and Dense shard by it.
 [[nodiscard]] constexpr std::int64_t grain_for(
     std::int64_t flops_per_index) noexcept {
   constexpr std::int64_t kChunkFlops = std::int64_t{1} << 18;
